@@ -5,7 +5,7 @@ optimum), gen (instance generator), bench (batch harness with CSV output),
 check (randomized structural suites).
 
 Exit codes: 0 success/valid, 1 input or generation error, 2 invalid
-certificate or benchmark violations.
+certificate, benchmark violations or an invalid CDS_FORGE_THREADS.
 """
 
 from __future__ import annotations
@@ -271,6 +271,21 @@ def _parse_n_range(text: str):
     return lo, hi
 
 
+def _bench_workers(text: str | None, tasks: int) -> int:
+    """Worker processes for `bench` from the CDS_FORGE_THREADS value `text`
+    (None when unset): never more than the CPUs or the tasks.  Raises
+    ValueError on a value that is not an integer >= 1."""
+    if text is None:
+        return 1
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"CDS_FORGE_THREADS must be an integer >= 1, got {text!r}")
+    return min(value, os.cpu_count() or 1, max(tasks, 1))
+
+
 def cmd_bench(args) -> int:
     lo, hi = args.n_range
     tasks = []
@@ -285,8 +300,12 @@ def cmd_bench(args) -> int:
             kind = args.kind
         tasks.append((inst_seed, n, kind, extra, args.radius, args.m_fold, args.exact_max_n))
 
-    workers = int(os.environ.get("CDS_FORGE_THREADS", "1"))
-    if workers > 1 and len(tasks) > 1:
+    try:
+        workers = _bench_workers(os.environ.get("CDS_FORGE_THREADS"), len(tasks))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_row, tasks))
     else:

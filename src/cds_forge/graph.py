@@ -6,6 +6,7 @@ every traversal, and therefore every tie-break downstream, is reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -209,6 +210,87 @@ def _dfs_splits(g: Graph, s: frozenset[int], want_blocks: bool):
         if v in parent:
             split[v] += 1
     return split, comp_count, blocks
+
+
+class BlockCutForest:
+    """Block-cut forest of G[s], built from the split counts and the blocks
+    of one `_dfs_splits(..., want_blocks=True)` pass.
+
+    Tree nodes are the blocks (ids 0..len(blocks)-1) followed by one node
+    per cut vertex; a cut vertex is joined to every block that contains it.
+    Each tree is rooted at its first block and numbered in preorder, so a
+    subtree is a contiguous range of preorder numbers.  `pieces_hit` answers,
+    for a cut vertex x, how many pieces of its component minus x contain one
+    of a given set of vertices: every piece is the vertex set of one branch
+    of the tree at x's node.
+    """
+
+    __slots__ = ("node_of", "tin", "tout", "child_tins")
+
+    def __init__(self, split: dict, blocks):
+        nb = len(blocks)
+        node_of: dict[int, int] = {}
+        cut_node: dict[int, int] = {}
+        adj: list[list[int]] = [[] for _ in range(nb)]
+        for b, block in enumerate(blocks):
+            for v in block:
+                if split[v] < 2:
+                    node_of[v] = b
+                    continue
+                c = cut_node.get(v)
+                if c is None:
+                    c = cut_node[v] = node_of[v] = len(adj)
+                    adj.append([])
+                adj[b].append(c)
+                adj[c].append(b)
+        tin = [-1] * len(adj)
+        tout = [0] * len(adj)
+        child_tins: dict[int, list[int]] = {}
+        timer = 0
+        for root in range(nb):
+            if tin[root] != -1:
+                continue
+            tin[root] = timer
+            timer += 1
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                u, it = stack[-1]
+                w = next(it, None)
+                if w is None:
+                    stack.pop()
+                    tout[u] = timer - 1
+                    continue
+                if tin[w] != -1:
+                    continue
+                tin[w] = timer
+                timer += 1
+                if w >= nb:
+                    child_tins[w] = []
+                if u >= nb:
+                    child_tins[u].append(tin[w])
+                stack.append((w, iter(adj[w])))
+        self.node_of = node_of
+        self.tin = tin
+        self.tout = tout
+        self.child_tins = child_tins
+
+    def pieces_hit(self, x: int, vertices) -> int:
+        """Pieces of (component of cut vertex x) - x that contain a vertex
+        of `vertices`; every vertex must lie in x's component, x itself is
+        ignored."""
+        node_of, tin = self.node_of, self.tin
+        xn = node_of[x]
+        lo, hi = tin[xn], self.tout[xn]
+        kids = self.child_tins[xn]
+        hit = set()
+        for u in vertices:
+            if u == x:
+                continue
+            t = tin[node_of[u]]
+            # inside x's subtree: the child block whose preorder range holds
+            # t; outside it: the one piece through x's parent block
+            hit.add(bisect_right(kids, t) - 1 if lo < t <= hi else -1)
+        return len(hit)
 
 
 def split_counts(g: Graph, s) -> dict:

@@ -1,12 +1,13 @@
 """Two-phase backbone construction.
 
 Phase 1 greedily adds the vertex with the largest potential drop until no
-candidate drops the potential any further.  Phase 2 welds the leftover
-pieces into one biconnected component: preferably by adding two common
-outside neighbors of a component pair, with repair and shortest-path
-fallbacks for the configurations the greedy can actually leave behind
-(undersized components, cut vertices, component pairs without a common
-neighbor pair).  Every fallback is recorded on the solution.
+candidate drops the potential any further; a candidate's drop is read off
+the split counts and the block-cut forest of the current set.  Phase 2
+welds the leftover pieces into one biconnected component: preferably by
+adding two common outside neighbors of a component pair, with repair and
+shortest-path fallbacks for the configurations the greedy can actually
+leave behind (undersized components, cut vertices, component pairs without
+a common neighbor pair).  Every fallback is recorded on the solution.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .graph import (
+    BlockCutForest,
     Graph,
     _check_subset,
     _dfs_splits,
@@ -101,12 +103,15 @@ def _color_from_count(hits: int, m_fold: int) -> Color:
 def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     """Run the greedy until no candidate still lowers the potential.
 
-    Returns (chosen set, trace steps).  Each iteration recomputes the
-    component structure once and evaluates every outside candidate against
-    it; a cheap lower bound on the post-insertion worst-deletion term prunes
-    candidates that cannot beat the current best.  Ties go to the smallest
-    vertex id.  The tracked potential is cross-checked against a direct
-    recomputation every iteration.
+    Returns (chosen set, trace steps).  Each iteration makes one low-link
+    pass over G[C], builds the block-cut forest of G[C] from its blocks, and
+    evaluates every outside candidate against that structure without a
+    search of its own: a candidate's exact worst-deletion term comes from
+    the split counts, the forest, and the components ranked by their largest
+    split.  A cheap lower bound on that term first prunes candidates that
+    cannot beat the current best.  Ties go to the smallest vertex id.  The
+    tracked potential is cross-checked against a direct recomputation every
+    iteration.
     """
     _require_biconnected_host(g)
     n = g.n
@@ -119,34 +124,43 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     for _ in range(2 * n):
         # component structure of the current set
         comp_id = [-1] * n
-        comps: list[list[int]] = []
+        p = 0
         for v in sorted(c_set):
             if comp_id[v] != -1:
                 continue
-            cid = len(comps)
-            comp_id[v] = cid
-            comp = [v]
+            comp_id[v] = p
             dq = deque([v])
             while dq:
                 u = dq.popleft()
                 for w in g.adj[u]:
                     if in_c[w] and comp_id[w] == -1:
-                        comp_id[w] = cid
-                        comp.append(w)
+                        comp_id[w] = p
                         dq.append(w)
-            comps.append(comp)
-        p = len(comps)
+            p += 1
 
         if c_set:
-            split, _, _ = _dfs_splits(g, frozenset(c_set), want_blocks=False)
+            # the one low-link pass of the iteration; everything the
+            # candidates need is read off its split counts and blocks
+            split, _, blocks = _dfs_splits(g, frozenset(c_set), want_blocks=True)
+            forest = BlockCutForest(split, blocks)
             comp_max = [0] * p
+            comp_cuts: list[list[int]] = [[] for _ in range(p)]
             for v in c_set:
                 cid = comp_id[v]
-                if split[v] > comp_max[cid]:
-                    comp_max[cid] = split[v]
-            phat = p - 1 + max(comp_max)
+                sv = split[v]
+                if sv > comp_max[cid]:
+                    comp_max[cid] = sv
+                if sv >= 2:
+                    comp_cuts[cid].append(v)
+            for cuts in comp_cuts:
+                cuts.sort(key=split.__getitem__, reverse=True)
+            # components by falling max split: the largest untouched one is
+            # found after skipping at most the touched ones
+            comp_order = sorted(range(p), key=comp_max.__getitem__, reverse=True)
+            phat = p - 1 + comp_max[comp_order[0]]
         else:
             comp_max = []
+            comp_order = []
             phat = 0
 
         # spanning-subgraph component labels over all n vertices
@@ -187,33 +201,51 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
                 continue
             d_m = 1 if cnt[y] < m_fold else 0
             lbls = {label[y]}
-            touched: set[int] = set()
+            hits: dict[int, list[int]] = {}  # touched component -> y's neighbors in it
             for w in g.adj[y]:
                 lbls.add(label[w])
                 if in_c[w]:
-                    touched.add(comp_id[w])
+                    cid = comp_id[w]
+                    if cid in hits:
+                        hits[cid].append(w)
+                    else:
+                        hits[cid] = [w]
                 elif cnt[w] == m_fold - 1:
                     d_m += 1
             d_q = len(lbls) - 1
 
-            a_cnt = len(touched)
+            a_cnt = len(hits)
             p_new = p - a_cnt + 1
             unaff_max = 0
-            if a_cnt < p:
-                for cid in range(p):
-                    if cid not in touched and comp_max[cid] > unaff_max:
-                        unaff_max = comp_max[cid]
+            for cid in comp_order:
+                if cid not in hits:
+                    unaff_max = comp_max[cid]
+                    break
             # optimistic d_worst bound: the merged component splits at least
             # once unless it is the lone new vertex
             floor_new = p_new - 1 + max(unaff_max, 1 if a_cnt else 0)
             if (phat - floor_new) + d_q + d_m <= best_total:
                 continue
 
-            local = [y]
-            for cid in touched:
-                local.extend(comps[cid])
-            lsplit, _, _ = _dfs_splits(g, frozenset(local), want_blocks=False)
-            phat_new = p_new - 1 + max(unaff_max, max(lsplit.values()))
+            # worst split of the merged component K' = y + touched components.
+            # y splits K' into its a_cnt components.  For x in a touched K,
+            # the pieces of K - x holding a neighbor of y fuse through y, so
+            # x splits K' into split(x) - h(x) + 1 pieces, h(x) the number of
+            # fused pieces: 0 only for the lone neighbor of y in K, 1 for
+            # every non-cut vertex otherwise, and read off the block-cut
+            # forest for cut vertices.
+            top = max(unaff_max, a_cnt)
+            for cid, nbrs in hits.items():
+                if len(nbrs) == 1 and split[nbrs[0]] + 1 > top:
+                    top = split[nbrs[0]] + 1
+                for x in comp_cuts[cid]:
+                    sx = split[x]
+                    if sx <= top:
+                        break  # no later cut vertex of K can beat top
+                    h = forest.pieces_hit(x, nbrs)
+                    if sx + 1 - h > top:
+                        top = sx + 1 - h
+            phat_new = p_new - 1 + top
             total = (phat - phat_new) + d_q + d_m
             if total > best_total:
                 best_total = total
@@ -272,9 +304,10 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
     vertex, merge two components, then top up domination.  Each move adds at
     least one vertex, so the loop converges (the whole vertex set is always
     a valid end state on a biconnected host).  Returns (set, steps,
-    fallback_used) where steps are TraceSteps and fallback_used flags any
-    move that needed a connecting path instead of the pair/repair vertex the
-    construction expects to find.
+    fallback_used) where steps are TraceSteps, one per move and empty unless
+    cfg.record_trace, and fallback_used flags any move that needed a
+    connecting path instead of the pair/repair vertex the construction
+    expects to find.
     """
     c = set(_check_subset(g, c))
     if not c:
@@ -285,6 +318,8 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
     fallback = False
 
     def record(added, note):
+        if not cfg.record_trace:
+            return
         after = snapshot(g, c, m_fold).total
         steps.append(
             TraceStep(

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from cds_forge import is_biconnected, read_edge_list
+from cds_forge.cli import _bench_workers
 
 P8_FILE = """8 10
 1 2
@@ -228,3 +229,20 @@ def test_check_advisory_suite_exits_zero(tmp_path):
     )
     assert res.returncode == 0
     assert "advisory=yes" in res.stdout
+
+
+def test_bench_workers_parsing():
+    # only the parser is called, so no pool is ever started
+    for bad in ("0", "-3", "abc"):
+        with pytest.raises(ValueError, match="CDS_FORGE_THREADS"):
+            _bench_workers(bad, 6)
+    assert _bench_workers("100000", 6) == min(os.cpu_count() or 1, 6)
+    assert _bench_workers("100000", 1) == 1
+    assert _bench_workers(None, 6) == 1
+
+
+def test_bench_rejects_bad_thread_count():
+    res = run_cli("bench", "--count", "2", env_extra={"CDS_FORGE_THREADS": "abc"})
+    assert res.returncode == 2
+    assert "CDS_FORGE_THREADS" in res.stderr
+    assert "Traceback" not in res.stderr

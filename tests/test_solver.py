@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cds_forge import (
+    GenerationFailed,
     GenSpec,
     NotBiconnectedInputError,
     SolveConfig,
@@ -11,6 +12,7 @@ from cds_forge import (
     gain,
     generate,
     greedy_phase1,
+    naive_snapshot,
     new_graph,
     snapshot,
     solve,
@@ -193,3 +195,39 @@ def test_solution_certificate_round_trip(p8):
     sol = solve(p8)
     fresh = verify_certificate(p8, sol.nodes, fallback_used=sol.fallback_used)
     assert fresh == sol.certificate
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=4, max_value=14),
+    st.sampled_from([2, 3, 4]),
+)
+def test_phase1_steps_match_naive_argmax(seed, n, m_fold):
+    # every phase-1 step takes the smallest id among the candidates with the
+    # largest potential drop measured from the definitions, and the greedy
+    # stops exactly when no candidate drops the potential
+    if seed % 3 == 0:
+        try:
+            g = generate(GenSpec(kind="geometric", n=n, seed=seed, radius=0.6))
+        except GenerationFailed:
+            g = generate(GenSpec(kind="hpath", n=n, seed=seed))
+    else:
+        g = generate(GenSpec(kind="hpath", n=n, seed=seed, extra=seed % 4))
+    chosen, trace = greedy_phase1(g, SolveConfig(m_fold=m_fold))
+    c: set[int] = set()
+    for step in trace + [None]:
+        base = naive_snapshot(g, c, m_fold).total
+        drops = {
+            y: base - naive_snapshot(g, c | {y}, m_fold).total
+            for y in range(g.n)
+            if y not in c
+        }
+        best = max(drops.values(), default=0)
+        if step is None:
+            assert best <= 0
+            break
+        assert best > 0
+        assert step.chosen == (min(y for y in drops if drops[y] == best),)
+        assert step.gain.total == best
+        c.add(step.chosen[0])
+    assert c == chosen
