@@ -25,13 +25,8 @@ class Color(Enum):
     WHITE = "white"
 
 
-def color_of(g: Graph, c, v: int, m_fold: int = 2) -> Color:
-    """Black inside c; outside vertices by backbone-neighbor count:
-    gray >= m_fold, white 0, red in between."""
-    c = _check_subset(g, c)
-    if v in c:
-        return Color.BLACK
-    hits = sum(1 for w in g.adj[v] if w in c)
+def _color_from_count(hits: int, m_fold: int) -> Color:
+    """Color of an outside vertex with `hits` backbone neighbors."""
     if hits >= m_fold:
         return Color.GRAY
     if hits == 0:
@@ -39,21 +34,23 @@ def color_of(g: Graph, c, v: int, m_fold: int = 2) -> Color:
     return Color.RED
 
 
+def color_of(g: Graph, c, v: int, m_fold: int = 2) -> Color:
+    """Black inside c; outside vertices by backbone-neighbor count:
+    gray >= m_fold, white 0, red in between."""
+    c = _check_subset(g, c)
+    if v in c:
+        return Color.BLACK
+    return _color_from_count(sum(1 for w in g.adj[v] if w in c), m_fold)
+
+
 def color_map(g: Graph, c, m_fold: int = 2) -> list[Color]:
     c = _check_subset(g, c)
-    out = []
-    for v in range(g.n):
-        if v in c:
-            out.append(Color.BLACK)
-            continue
-        hits = sum(1 for w in g.adj[v] if w in c)
-        if hits >= m_fold:
-            out.append(Color.GRAY)
-        elif hits == 0:
-            out.append(Color.WHITE)
-        else:
-            out.append(Color.RED)
-    return out
+    return [
+        Color.BLACK
+        if v in c
+        else _color_from_count(sum(1 for w in g.adj[v] if w in c), m_fold)
+        for v in range(g.n)
+    ]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ a common neighbor pair).  Every fallback is recorded on the solution.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import (
@@ -25,7 +24,7 @@ from .graph import (
     restricted_shortest_path,
     split_counts,
 )
-from .potential import Color, GainBreakdown, snapshot
+from .potential import GainBreakdown, _color_from_count, snapshot
 from .verify import Certificate, verify_certificate
 
 
@@ -92,106 +91,243 @@ def _require_biconnected_host(g: Graph) -> None:
         raise NotBiconnectedInputError(f"input graph has a cut vertex: {cuts[0]}")
 
 
-def _color_from_count(hits: int, m_fold: int) -> Color:
-    if hits >= m_fold:
-        return Color.GRAY
-    if hits == 0:
-        return Color.WHITE
-    return Color.RED
+class PotentialState:
+    """What each outside candidate's joining would change, kept up to date as
+    phase 1 grows C one vertex at a time.
+
+    C only grows, so the components of G[C] and the parts of the spanning
+    subgraph (the edges with an end in C) only ever merge.  `add` merges the
+    touched pieces of either partition into the largest one and relabels
+    only the members of the smaller ones, so a whole run costs O(m log n)
+    updates.  For every outside vertex y it keeps:
+
+    - `hits[y]`: {component of G[C]: y's neighbors in it}, so y touches
+      `len(hits[y])` components;
+    - `label_counts[y]`: {part label of the spanning subgraph: vertices of
+      N[y] carrying it}, so y's joining merges `len(label_counts[y])` parts
+      into one;
+    - `d_m[y]`: the under-dominated vertices y's joining removes: y itself
+      while it has fewer than m_fold neighbors in C, and every outside
+      neighbor one short of m_fold.
+
+    The `hits` and `label_counts` entries of members of C are None.
+    Component ids and part labels are arbitrary and no result depends on
+    them.
+    """
+
+    def __init__(self, g: Graph, m_fold: int):
+        n = g.n
+        self.g = g
+        self.m_fold = m_fold
+        self.in_c = [False] * n
+        self.cnt = [0] * n  # neighbors in C, for every vertex
+        self.under = n  # outside vertices with cnt < m_fold
+        self.d_m = [1] * n
+        self.comp = [-1] * n  # component of G[C], members of C only
+        self.comp_members: dict[int, list[int]] = {}
+        self.hits: list[dict[int, list[int]] | None] = [{} for _ in range(n)]
+        self.label = list(range(n))  # part of the spanning subgraph
+        self.label_members: dict[int, list[int]] = {v: [v] for v in range(n)}
+        self.label_counts: list[dict[int, int] | None] = [
+            dict.fromkeys((y, *g.adj[y]), 1) for y in range(n)
+        ]
+
+    @property
+    def parts(self) -> int:
+        """Components of G[C]."""
+        return len(self.comp_members)
+
+    @property
+    def closed_parts(self) -> int:
+        """Components of the spanning subgraph of C."""
+        return len(self.label_members)
+
+    def add(self, y: int) -> None:
+        if self.in_c[y]:
+            raise ValueError(f"vertex {y} is already in C")
+        self.in_c[y] = True
+        self._cover(y)
+        self._merge_components(y)
+        self._merge_parts(y)
+
+    def _cover(self, y: int) -> None:
+        # d_m[u] counts u itself while cnt[u] < m_fold, and each outside
+        # neighbor w with cnt[w] == m_fold - 1; it only changes where some
+        # count crosses m_fold - 2 -> m_fold - 1 or m_fold - 1 -> m_fold, or
+        # where such a neighbor joins C
+        adj, in_c, cnt, d_m, m = self.g.adj, self.in_c, self.cnt, self.d_m, self.m_fold
+        if cnt[y] < m:
+            self.under -= 1
+            if cnt[y] == m - 1:
+                for u in adj[y]:
+                    if not in_c[u]:
+                        d_m[u] -= 1
+        for w in adj[y]:
+            c = cnt[w] = cnt[w] + 1
+            if in_c[w]:
+                continue
+            if c == m:
+                self.under -= 1
+                d_m[w] -= 1
+                step = -1
+            elif c == m - 1:
+                step = 1
+            else:
+                continue
+            for u in adj[w]:
+                if not in_c[u]:
+                    d_m[u] += step
+
+    def _merge_components(self, y: int) -> None:
+        adj, comp, members, hits = self.g.adj, self.comp, self.comp_members, self.hits
+        touched = hits[y]
+        hits[y] = None
+        if touched:
+            big = max(touched, key=lambda k: len(members[k]))
+            for k in touched:
+                if k == big:
+                    continue
+                moved = members.pop(k)
+                members[big].extend(moved)
+                for v in moved:
+                    comp[v] = big
+                    for u in adj[v]:
+                        hu = hits[u]
+                        if hu is not None and k in hu:
+                            nbrs = hu.pop(k)
+                            if big in hu:
+                                hu[big].extend(nbrs)
+                            else:
+                                hu[big] = nbrs
+        else:
+            big = y  # ids are founding members of C, so y is free
+            members[big] = []
+        comp[y] = big
+        members[big].append(y)
+        for u in adj[y]:
+            hu = hits[u]
+            if hu is not None:
+                if big in hu:
+                    hu[big].append(y)
+                else:
+                    hu[big] = [y]
+
+    def _merge_parts(self, y: int) -> None:
+        # every edge at y is now kept, so the parts met by N[y] become one
+        adj, label, members, counts = self.g.adj, self.label, self.label_members, self.label_counts
+        met = counts[y]
+        counts[y] = None
+        big = max(met, key=lambda k: len(members[k]))
+        for k in met:
+            if k == big:
+                continue
+            moved = members.pop(k)
+            members[big].extend(moved)
+            for v in moved:
+                label[v] = big
+                # v lies in N[u] exactly for u in N[v]
+                for u in (v, *adj[v]):
+                    lu = counts[u]
+                    if lu is None:
+                        continue
+                    left = lu[k] - 1
+                    if left:
+                        lu[k] = left
+                    else:
+                        del lu[k]
+                    lu[big] = lu.get(big, 0) + 1
+
+
+def _recount(g: Graph, c_set: set) -> tuple[list[int], int]:
+    """From scratch: every vertex's number of neighbors in C, and the
+    component count of the spanning subgraph of C, as n minus the merges
+    made by a union-find over the edges with an end in C."""
+    cnt = [0] * g.n
+    root = list(range(g.n))
+    q = g.n
+    for v in c_set:
+        for w in g.adj[v]:
+            cnt[w] += 1
+            a, b = v, w
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[a] = b
+                q -= 1
+    return cnt, q
 
 
 def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     """Run the greedy until no candidate still lowers the potential.
 
-    Returns (chosen set, trace steps).  Each iteration makes one low-link
-    pass over G[C], builds the block-cut forest of G[C] from its blocks, and
-    evaluates every outside candidate against that structure without a
-    search of its own: a candidate's exact worst-deletion term comes from
-    the split counts, the forest, and the components ranked by their largest
-    split.  A cheap lower bound on that term first prunes candidates that
-    cannot beat the current best.  Ties go to the smallest vertex id.  The
-    tracked potential is cross-checked against a direct recomputation every
-    iteration.
+    Returns (chosen set, trace steps).  A `PotentialState` keeps, for every
+    outside candidate, the components of G[C] it touches, the parts of the
+    spanning subgraph it would merge and the under-dominated vertices it
+    would cover, so those terms of its gain are read in O(1).  Each
+    iteration still makes one low-link pass over G[C] and builds the
+    block-cut forest of G[C] from its blocks: a candidate's exact
+    worst-deletion term comes from the split counts, the forest, and the
+    components ranked by their largest split.  A cheap lower bound on that
+    term first prunes candidates that cannot beat the current best.  Ties go
+    to the smallest vertex id.  Every iteration recomputes each potential
+    term from scratch and checks it against the state and the tracked value.
     """
     _require_biconnected_host(g)
     n = g.n
     m_fold = cfg.m_fold
-    in_c = [False] * n
+    state = PotentialState(g, m_fold)
+    in_c, cnt, d_ms, hits_of, labels_of = (
+        state.in_c, state.cnt, state.d_m, state.hits, state.label_counts
+    )
     c_set: set[int] = set()
     trace: list[TraceStep] = []
-    f_tracked = 2 * n
+    # worst-deletion, closed-part and under-dominated terms, tracked through
+    # the gains of the chosen vertices
+    tracked = (0, n, n)
 
     for _ in range(2 * n):
-        # component structure of the current set
-        comp_id = [-1] * n
-        p = 0
-        for v in sorted(c_set):
-            if comp_id[v] != -1:
-                continue
-            comp_id[v] = p
-            dq = deque([v])
-            while dq:
-                u = dq.popleft()
-                for w in g.adj[u]:
-                    if in_c[w] and comp_id[w] == -1:
-                        comp_id[w] = p
-                        dq.append(w)
-            p += 1
-
         if c_set:
             # the one low-link pass of the iteration; everything the
             # candidates need is read off its split counts and blocks
-            split, _, blocks = _dfs_splits(g, frozenset(c_set), want_blocks=True)
+            split, p, blocks = _dfs_splits(g, frozenset(c_set), want_blocks=True)
             forest = BlockCutForest(split, blocks)
-            comp_max = [0] * p
-            comp_cuts: list[list[int]] = [[] for _ in range(p)]
+            comp = state.comp
+            comp_max = dict.fromkeys(state.comp_members, 0)
+            comp_cuts: dict[int, list[int]] = {k: [] for k in comp_max}
             for v in c_set:
-                cid = comp_id[v]
-                sv = split[v]
-                if sv > comp_max[cid]:
-                    comp_max[cid] = sv
+                k, sv = comp[v], split[v]
+                if sv > comp_max[k]:
+                    comp_max[k] = sv
                 if sv >= 2:
-                    comp_cuts[cid].append(v)
-            for cuts in comp_cuts:
+                    comp_cuts[k].append(v)
+            for cuts in comp_cuts.values():
                 cuts.sort(key=split.__getitem__, reverse=True)
             # components by falling max split: the largest untouched one is
             # found after skipping at most the touched ones
-            comp_order = sorted(range(p), key=comp_max.__getitem__, reverse=True)
-            phat = p - 1 + comp_max[comp_order[0]]
+            comp_order = sorted(comp_max, key=comp_max.__getitem__, reverse=True)
+            phat = p - 1 + max(split.values())
         else:
-            comp_max = []
+            p = 0
             comp_order = []
             phat = 0
 
-        # spanning-subgraph component labels over all n vertices
-        label = [-1] * n
-        q = 0
-        for s0 in range(n):
-            if label[s0] != -1:
-                continue
-            label[s0] = q
-            dq = deque([s0])
-            while dq:
-                u = dq.popleft()
-                u_in = in_c[u]
-                for w in g.adj[u]:
-                    if (u_in or in_c[w]) and label[w] == -1:
-                        label[w] = q
-                        dq.append(w)
-            q += 1
-
-        cnt = [0] * n
-        for v in c_set:
-            for w in g.adj[v]:
-                cnt[w] += 1
-        m_count = sum(1 for v in range(n) if not in_c[v] and cnt[v] < m_fold)
-
-        f_direct = phat + q + m_count
-        if f_direct != f_tracked:
+        # from-scratch cross-check of every term
+        recount, q = _recount(g, c_set)
+        under = sum(1 for v in range(n) if not in_c[v] and recount[v] < m_fold)
+        direct = (phat, q, under)
+        if direct != tracked or recount != cnt or (
+            (p, q, under) != (state.parts, state.closed_parts, state.under)
+        ):
             raise RuntimeError(
-                f"potential bookkeeping diverged: recomputed {f_direct}, tracked {f_tracked}"
+                "potential bookkeeping diverged: recomputed (worst-deletion, "
+                f"closed, under-dominated) = {direct}, tracked {tracked}, state "
+                f"(components {state.parts} vs {p}, closed {state.closed_parts}, "
+                f"under-dominated {state.under}), coverage counts "
+                f"{'match' if recount == cnt else 'differ'}"
             )
-        if c_set and f_direct < 2:
+        if c_set and sum(direct) < 2:
             raise RuntimeError("potential fell below its floor of 2")
 
         best_total = 0
@@ -199,27 +335,15 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         for y in range(n):
             if in_c[y]:
                 continue
-            d_m = 1 if cnt[y] < m_fold else 0
-            lbls = {label[y]}
-            hits: dict[int, list[int]] = {}  # touched component -> y's neighbors in it
-            for w in g.adj[y]:
-                lbls.add(label[w])
-                if in_c[w]:
-                    cid = comp_id[w]
-                    if cid in hits:
-                        hits[cid].append(w)
-                    else:
-                        hits[cid] = [w]
-                elif cnt[w] == m_fold - 1:
-                    d_m += 1
-            d_q = len(lbls) - 1
-
+            hits = hits_of[y]
+            d_m = d_ms[y]
+            d_q = len(labels_of[y]) - 1
             a_cnt = len(hits)
             p_new = p - a_cnt + 1
             unaff_max = 0
-            for cid in comp_order:
-                if cid not in hits:
-                    unaff_max = comp_max[cid]
+            for k in comp_order:
+                if k not in hits:
+                    unaff_max = comp_max[k]
                     break
             # optimistic d_worst bound: the merged component splits at least
             # once unless it is the lone new vertex
@@ -235,10 +359,10 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
             # every non-cut vertex otherwise, and read off the block-cut
             # forest for cut vertices.
             top = max(unaff_max, a_cnt)
-            for cid, nbrs in hits.items():
+            for k, nbrs in hits.items():
                 if len(nbrs) == 1 and split[nbrs[0]] + 1 > top:
                     top = split[nbrs[0]] + 1
-                for x in comp_cuts[cid]:
+                for x in comp_cuts[k]:
                     sx = split[x]
                     if sx <= top:
                         break  # no later cut vertex of K can beat top
@@ -255,10 +379,11 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
             break
         y, d_phat, d_q, d_m = best
         color = _color_from_count(cnt[y], m_fold)
-        in_c[y] = True
+        state.add(y)
         c_set.add(y)
-        f_tracked -= best_total
+        tracked = (tracked[0] - d_phat, tracked[1] - d_q, tracked[2] - d_m)
         if cfg.record_trace:
+            f_after = sum(tracked)
             breakdown = GainBreakdown(
                 candidate=y,
                 candidate_color=color,
@@ -273,8 +398,8 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
                     chosen=(y,),
                     gain=breakdown,
                     note="",
-                    f_after=f_tracked,
-                    residual=f_tracked - 2,
+                    f_after=f_after,
+                    residual=f_after - 2,
                 )
             )
     else:
@@ -285,15 +410,18 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
 
 def _find_repair_vertex(g: Graph, c: set, pieces) -> int | None:
     """Smallest outside vertex adjacent to at least two pieces."""
+    ids = pieces.ids
     for y in range(g.n):
         if y in c:
             continue
-        touched = 0
-        for piece in pieces.members:
-            if any(w in piece for w in g.adj[y]):
-                touched += 1
-                if touched == 2:
-                    return y
+        first = None
+        for w in g.adj[y]:
+            k = ids.get(w)
+            if k is None or k == first:
+                continue
+            if first is not None:
+                return y
+            first = k
     return None
 
 

@@ -7,6 +7,8 @@ the way is written to acceptance_artifacts/ as an edge-list file.  The
 README walks through why those claims cannot hold.
 """
 
+import hashlib
+import json
 import math
 import os
 import time
@@ -36,6 +38,7 @@ from cds_forge.checks import (
 
 BASE = 20260814
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "acceptance_artifacts")
+GOLDEN_CORPUS = os.path.join(os.path.dirname(__file__), "golden_corpus.json")
 
 CORPUS_SIZE = 1000
 SAMPLES = 10000
@@ -60,20 +63,35 @@ def _gen_instance(seed, n, kind):
     raise GenerationFailed(f"geometric instance for seed {seed} never came out")
 
 
-@pytest.fixture(scope="session")
-def solved_corpus():
+def _solve_corpus():
     import random
 
-    os.makedirs(ARTIFACTS, exist_ok=True)
     rng = random.Random(BASE)
     rows = []
-    t0 = time.perf_counter()
     for i in range(CORPUS_SIZE):
         seed = BASE + i
         n = rng.randint(10, 100)
         kind = "hpath" if i % 2 == 0 else "geometric"
         g = _gen_instance(seed, n, kind)
         rows.append((seed, g, solve(g)))
+    return rows
+
+
+def _corpus_digests(rows):
+    """One digest of (phase-1 set, backbone) per corpus seed."""
+    return {
+        str(seed): hashlib.sha256(
+            f"{sorted(sol.phase1_nodes)}|{sorted(sol.nodes)}".encode()
+        ).hexdigest()[:16]
+        for seed, _, sol in rows
+    }
+
+
+@pytest.fixture(scope="session")
+def solved_corpus():
+    os.makedirs(ARTIFACTS, exist_ok=True)
+    t0 = time.perf_counter()
+    rows = _solve_corpus()
     elapsed = time.perf_counter() - t0
     return rows, elapsed
 
@@ -88,6 +106,19 @@ def test_criterion_01_corpus_all_valid(solved_corpus):
         f"in {elapsed:.1f}s",
     )
     assert ok
+
+
+def test_corpus_choices_match_golden(solved_corpus):
+    # determinism guard: a change that keeps every greedy choice keeps every
+    # digest; one that changes choices on purpose rewrites the file with
+    # `PYTHONPATH=src python tests/test_acceptance.py --write-golden`
+    rows, _ = solved_corpus
+    with open(GOLDEN_CORPUS) as fh:
+        golden = json.load(fh)
+    got = _corpus_digests(rows)
+    changed = sorted(seed for seed in got if golden.get(seed) != got[seed])
+    assert got.keys() == golden.keys()
+    assert not changed, f"{len(changed)} seeds changed their choices, first {changed[:5]}"
 
 
 def test_criterion_02_phase1_postconditions(solved_corpus):
@@ -272,3 +303,13 @@ def test_criterion_10_performance():
         f"(theta {res.theta})",
     )
     assert ok
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] != ["--write-golden"]:
+        sys.exit("usage: python tests/test_acceptance.py --write-golden")
+    with open(GOLDEN_CORPUS, "w") as fh:
+        json.dump(_corpus_digests(_solve_corpus()), fh, indent=0, sort_keys=True)
+        fh.write("\n")

@@ -8,16 +8,20 @@ from cds_forge import (
     GenSpec,
     NotBiconnectedInputError,
     SolveConfig,
+    closed_components,
     exact_min_cds,
     gain,
     generate,
     greedy_phase1,
+    induced_components,
     naive_snapshot,
     new_graph,
     snapshot,
     solve,
+    split_counts,
     verify_certificate,
 )
+from cds_forge.solver import PotentialState, _find_repair_vertex
 
 from conftest import complete_edges, cycle_edges
 
@@ -231,3 +235,109 @@ def test_phase1_steps_match_naive_argmax(seed, n, m_fold):
         assert step.gain.total == best
         c.add(step.chosen[0])
     assert c == chosen
+
+
+def _random_graph(rng, n):
+    # any simple graph, connected or not: the state and the repair search
+    # make no assumption on the host
+    density = rng.choice([0.2, 0.35, 0.5, 0.8])
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < density]
+    return new_graph(n, edges)
+
+
+def _partition(ids):
+    """Blocks of a vertex -> block id map, as a set of frozensets."""
+    blocks: dict = {}
+    for v, k in ids.items():
+        blocks.setdefault(k, set()).add(v)
+    return {frozenset(b) for b in blocks.values()}
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=4, max_value=16),
+    st.sampled_from([2, 3, 4]),
+)
+def test_potential_state_matches_definitions(seed, n, m_fold):
+    # arbitrary insertion orders, not only greedy ones: after every add the
+    # two partitions, the coverage counts and every candidate's local terms
+    # agree with the from-scratch kernels and the naive potential
+    rng = random.Random(seed)
+    g = _random_graph(rng, n)
+    state = PotentialState(g, m_fold)
+    c: set[int] = set()
+    for y in rng.sample(range(n), rng.randint(1, n)):
+        state.add(y)
+        c.add(y)
+        comps = induced_components(g, c)
+        assert _partition({v: state.comp[v] for v in c}) == set(comps.members)
+        assert state.parts == comps.count
+        assert _partition(dict(enumerate(state.label))) == set(
+            closed_components(g, c).members
+        )
+        assert state.cnt == [sum(1 for w in g.adj[v] if w in c) for v in range(n)]
+        base = naive_snapshot(g, c, m_fold)
+        assert (state.closed_parts, state.under) == (base.closed_parts, base.under_dominated)
+        for u in range(n):
+            if u in c:
+                assert state.hits[u] is None and state.label_counts[u] is None
+                continue
+            hits = state.hits[u]
+            for k, nbrs in hits.items():
+                assert sorted(nbrs) == sorted(set(g.adj[u]) & comps.members[comps.ids[nbrs[0]]])
+            after = naive_snapshot(g, c | {u}, m_fold)
+            assert (len(hits), len(state.label_counts[u]) - 1, state.d_m[u]) == (
+                base.parts - after.parts + 1,
+                base.closed_parts - after.closed_parts,
+                base.under_dominated - after.under_dominated,
+            )
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda state: state.cnt.__setitem__(0, state.cnt[0] + 1),
+        lambda state: setattr(state, "under", state.under - 1),
+        lambda state: state.d_m.__setitem__(6, state.d_m[6] + 1),  # the next pick
+    ],
+    ids=["coverage-count", "under-dominated", "candidate-d_m"],
+)
+def test_phase1_cross_check_catches_a_corrupted_counter(p8, monkeypatch, corrupt):
+    add = PotentialState.add
+
+    def corrupted_add(state, y):
+        add(state, y)
+        if sum(state.in_c) == 1:
+            corrupt(state)
+
+    monkeypatch.setattr(PotentialState, "add", corrupted_add)
+    with pytest.raises(RuntimeError, match="diverged"):
+        greedy_phase1(p8)
+
+
+def _repair_vertex_by_scan(g, c, pieces):
+    # the definition: the smallest outside vertex with a neighbor in at
+    # least two pieces, found by testing every piece
+    for y in range(g.n):
+        if y in c:
+            continue
+        touched = 0
+        for piece in pieces.members:
+            if any(w in piece for w in g.adj[y]):
+                touched += 1
+                if touched == 2:
+                    return y
+    return None
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=3, max_value=16))
+def test_find_repair_vertex_matches_piece_scan(seed, n):
+    rng = random.Random(seed)
+    g = _random_graph(rng, n)
+    c = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    split = split_counts(g, c)
+    cuts = sorted(v for v in c if split[v] >= 2)
+    x = rng.choice(cuts or sorted(c))
+    parts = induced_components(g, c)
+    pieces = induced_components(g, parts.members[parts.ids[x]] - {x})
+    assert _find_repair_vertex(g, c, pieces) == _repair_vertex_by_scan(g, c, pieces)
