@@ -66,7 +66,6 @@ def _trace_dict(step, labels) -> dict:
         "chosen": [labels[v] for v in step.chosen],
         "note": step.note,
         "f_after": step.f_after,
-        "residual": step.residual,
         "gain": None,
     }
     if step.gain is not None:
@@ -108,7 +107,7 @@ def cmd_solve(args) -> int:
     ms_solve = int((time.perf_counter() - t0) * 1000)
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "input": {
             "path": args.path,
             "n": g.n,
@@ -119,8 +118,6 @@ def cmd_solve(args) -> int:
         "config": {
             "m_fold": args.m_fold,
             "seed": None,
-            "tie_break": cfg.tie_break,
-            "phase2_strategy": cfg.phase2_strategy,
         },
         "solution": {
             "nodes": [labels[v] for v in sorted(sol.nodes)],

@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 
 class EarDecompositionError(ValueError):
@@ -291,6 +292,156 @@ class BlockCutForest:
             # t; outside it: the one piece through x's parent block
             hit.add(bisect_right(kids, t) - 1 if lo < t <= hi else -1)
         return len(hit)
+
+
+class OnlineBlockForest:
+    """Split counts and components of G[C] kept exact while C only grows.
+
+    The insert-only block forest of Westbrook & Tarjan, "Maintaining
+    bridge-connected and biconnected components on-line" (Algorithmica
+    1992).  Each component of G[C] is a rooted tree that alternates vertex
+    and block nodes, with the blocks in a union-find.  A vertex's parent is
+    the block it shares with the vertex above it; a block's parent is its
+    topmost vertex.  An edge between two trees re-roots the smaller one at
+    its end and hangs it below the other end through a new two-vertex block.
+    An edge inside a tree closes a cycle, so the blocks on the tree path
+    between its ends condense into one.  `split[v]` is the number of blocks
+    holding v, which is the number of pieces v's component falls into once
+    v is deleted (0 for a singleton, as in `_dfs_splits`).  Block ids, roots
+    and component ids depend on the insertion order; no query exposes them.
+    """
+
+    __slots__ = ("g", "in_c", "split", "comp", "members", "vparent", "bparent", "bunion", "_cuts")
+
+    def __init__(self, g: Graph, s=()):
+        n = g.n
+        self.g = g
+        self.in_c = [False] * n
+        self.split = [0] * n  # blocks holding v, for members of C
+        self.comp = [-1] * n  # component id, the founding member of the component
+        self.members: dict[int, list[int]] = {}
+        self.vparent = [-1] * n  # parent block of a vertex, -1 at a root
+        self.bparent: list[int] = []  # parent vertex of a block
+        self.bunion: list[int] = []  # union-find over block ids
+        self._cuts: list[int] = []  # min-heap of cut vertices, stale entries popped lazily
+        for v in sorted(_check_subset(g, s)):
+            self.add(v)
+
+    @property
+    def count(self) -> int:
+        """Components of G[C]."""
+        return len(self.members)
+
+    def component(self, v: int) -> list[int]:
+        """The members of v's component."""
+        return self.members[self.comp[v]]
+
+    def smallest_cut(self) -> int | None:
+        """The smallest vertex with split >= 2, or None."""
+        cuts, split = self._cuts, self.split
+        while cuts and split[cuts[0]] < 2:
+            heappop(cuts)
+        return cuts[0] if cuts else None
+
+    def add(self, y: int) -> None:
+        if self.in_c[y]:
+            raise ValueError(f"vertex {y} is already in C")
+        in_c, comp = self.in_c, self.comp
+        in_c[y] = True
+        comp[y] = y  # ids are founding members, so y is free
+        self.members[y] = [y]
+        for w in self.g.adj[y]:
+            if in_c[w]:
+                if comp[w] != comp[y]:
+                    self._link(y, w)
+                else:
+                    self._condense(y, w)
+
+    def _find(self, b: int) -> int:
+        bunion = self.bunion
+        while bunion[b] != b:
+            bunion[b] = b = bunion[bunion[b]]
+        return b
+
+    def _bump(self, v: int) -> None:
+        self.split[v] += 1
+        if self.split[v] == 2:
+            heappush(self._cuts, v)
+
+    def _link(self, a: int, b: int) -> None:
+        # hang the smaller tree, re-rooted at its end of the edge, below the
+        # other end through a new two-vertex block
+        comp, members = self.comp, self.members
+        if len(members[comp[a]]) > len(members[comp[b]]):
+            a, b = b, a
+        self._reroot(a)
+        block = len(self.bparent)
+        self.bparent.append(b)
+        self.bunion.append(block)
+        self.vparent[a] = block
+        big = comp[b]
+        moved = members.pop(comp[a])
+        for v in moved:
+            comp[v] = big
+        members[big].extend(moved)
+        self._bump(a)
+        self._bump(b)
+
+    def _reroot(self, a: int) -> None:
+        # reverse the parent pointers on the path from a to its root
+        vparent, bparent = self.vparent, self.bparent
+        below = -1
+        v = a
+        while True:
+            block = vparent[v]
+            vparent[v] = below
+            if block < 0:
+                return
+            block = self._find(block)
+            v, bparent[block] = bparent[block], v
+            below = block
+
+    def _condense(self, y: int, w: int) -> None:
+        # nodes: vertex v is v, block b is n + b.  Climb from both ends in
+        # turn until one climb reaches a node the other has seen: that node
+        # tops the tree path, and every block on the path becomes one.
+        n = self.g.n
+        vparent, bparent, find = self.vparent, self.bparent, self._find
+        paths = ([y], [w])
+        side = {y: 0, w: 1}
+        done = [False, False]
+        s = 0
+        while True:
+            if not done[s]:
+                node = paths[s][-1]
+                if node < n:
+                    block = vparent[node]
+                    up = -1 if block < 0 else n + find(block)
+                else:
+                    up = bparent[node - n]
+                if up < 0:
+                    if done[1 - s]:
+                        raise RuntimeError(f"{y} and {w} share a component but not a tree")
+                    done[s] = True
+                elif up in side:
+                    break
+                else:
+                    side[up] = s
+                    paths[s].append(up)
+            s ^= 1
+        other = paths[1 - s]
+        path = paths[s] + other[: other.index(up) + 1]
+        blocks = [node - n for node in path if node >= n]
+        if len(blocks) == 1:
+            return  # y and w already share a block
+        # each path vertex other than y and w held two of the merged blocks
+        for v in path:
+            if v < n and v != y and v != w:
+                self.split[v] -= 1
+        top = blocks[0]
+        for block in blocks:
+            self.bunion[block] = top
+        bparent[top] = bparent[up - n] if up >= n else up
 
 
 def split_counts(g: Graph, s) -> dict:

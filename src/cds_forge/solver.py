@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from .graph import (
     BlockCutForest,
     Graph,
+    OnlineBlockForest,
     _check_subset,
     _dfs_splits,
     induced_components,
     is_biconnected,
     restricted_shortest_path,
-    split_counts,
+    split_counts,  # no longer called here; perfbench still hooks the name
 )
 from .potential import GainBreakdown, _color_from_count, snapshot
 from .verify import Certificate, verify_certificate
@@ -39,17 +40,11 @@ class InfeasibleError(RuntimeError):
 @dataclass(frozen=True)
 class SolveConfig:
     m_fold: int = 2
-    tie_break: str = "min-id"
-    phase2_strategy: str = "pair-merge"
     record_trace: bool = True
 
     def __post_init__(self):
         if self.m_fold < 2:
             raise ValueError("m_fold must be at least 2")
-        if self.tie_break != "min-id":
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
-        if self.phase2_strategy != "pair-merge":
-            raise ValueError(f"unsupported phase2_strategy {self.phase2_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +54,6 @@ class TraceStep:
     gain: GainBreakdown | None  # phase-1 steps only
     note: str
     f_after: int
-    residual: int  # f_after - 2, the distance still to cover
-
-    def __post_init__(self):
-        assert self.residual == self.f_after - 2
 
 
 @dataclass(frozen=True)
@@ -383,7 +374,6 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         c_set.add(y)
         tracked = (tracked[0] - d_phat, tracked[1] - d_q, tracked[2] - d_m)
         if cfg.record_trace:
-            f_after = sum(tracked)
             breakdown = GainBreakdown(
                 candidate=y,
                 candidate_color=color,
@@ -398,8 +388,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
                     chosen=(y,),
                     gain=breakdown,
                     note="",
-                    f_after=f_after,
-                    residual=f_after - 2,
+                    f_after=sum(tracked),
                 )
             )
     else:
@@ -436,6 +425,11 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
     cfg.record_trace, and fallback_used flags any move that needed a
     connecting path instead of the pair/repair vertex the construction
     expects to find.
+
+    c only grows, so an `OnlineBlockForest` built once from the starting set
+    and fed every added vertex answers the component count, the smallest
+    cut vertex and that vertex's component.  Its split counts and component
+    count are checked against one low-link pass over the final set.
     """
     c = set(_check_subset(g, c))
     if not c:
@@ -444,42 +438,37 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
     m_fold = cfg.m_fold
     steps: list[TraceStep] = []
     fallback = False
+    forest = OnlineBlockForest(g, c)
 
-    def record(added, note):
+    def grow(added, note):
+        c.update(added)
+        for v in added:
+            forest.add(v)
         if not cfg.record_trace:
             return
-        after = snapshot(g, c, m_fold).total
         steps.append(
             TraceStep(
                 phase=2,
                 chosen=tuple(sorted(added)),
                 gain=None,
                 note=note,
-                f_after=after,
-                residual=after - 2,
+                f_after=snapshot(g, c, m_fold).total,
             )
         )
 
     for _ in range(n + 2):
-        parts = induced_components(g, c)
-
-        if parts.count == 1 and len(parts.members[0]) < 3:
-            comp = parts.members[0]
-            w = min(w for v in comp for w in g.adj[v] if w not in c)
-            c.add(w)
-            record((w,), "grow-small")
+        if forest.count == 1 and len(c) < 3:
+            w = min(w for v in c for w in g.adj[v] if w not in c)
+            grow((w,), "grow-small")
             continue
 
-        split = split_counts(g, c)
-        cuts = sorted(v for v in c if split[v] >= 2)
-        if cuts:
-            x = cuts[0]
-            comp = parts.members[parts.ids[x]]
+        x = forest.smallest_cut()
+        if x is not None:
+            comp = frozenset(forest.component(x))
             pieces = induced_components(g, comp - {x})
             y = _find_repair_vertex(g, c, pieces)
             if y is not None:
-                c.add(y)
-                record((y,), f"repair at {x}")
+                grow((y,), f"repair at {x}")
                 continue
             # no single outside vertex spans two pieces; route the smallest
             # piece to the rest of the component, relaying anywhere outside it
@@ -492,12 +481,13 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
             added = [v for v in path if v not in c]
             if not added:
                 raise InfeasibleError(f"repair at {x} found no usable path")
-            c.update(added)
             fallback = True
-            record(added, f"repair-path at {x}")
+            grow(added, f"repair-path at {x}")
             continue
 
-        if parts.count > 1:
+        if forest.count > 1:
+            # components ranked by smallest member name the pair-merge notes
+            parts = induced_components(g, c)
             pair_candidates: dict[tuple[int, int], list[int]] = {}
             for y in range(n):
                 if y in c:
@@ -510,9 +500,7 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
             for i, j in sorted(pair_candidates):
                 ys = pair_candidates[(i, j)]
                 if len(ys) >= 2:
-                    picked = ys[:2]
-                    c.update(picked)
-                    record(picked, f"pair-merge {i}+{j}")
+                    grow(ys[:2], f"pair-merge {i}+{j}")
                     merged = True
                     break
             if merged:
@@ -540,9 +528,8 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
             added = [v for v in best if v not in c]
             if not added:
                 raise InfeasibleError("component connection added no vertices")
-            c.update(added)
             fallback = True
-            record(added, "path-connect")
+            grow(added, "path-connect")
             continue
 
         deficient = [
@@ -554,18 +541,23 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
             v = deficient[0]
             outside_nb = [w for w in g.adj[v] if w not in c]
             if outside_nb:
-                c.add(outside_nb[0])
-                record((outside_nb[0],), f"dominate {v}")
+                grow((outside_nb[0],), f"dominate {v}")
             else:
                 # every neighbor is already in; only membership can fix it
-                c.add(v)
-                record((v,), f"absorb {v}")
+                grow((v,), f"absorb {v}")
             continue
 
         break
     else:
         raise InfeasibleError("phase 2 exceeded its growth budget")
 
+    split, comp_count, _ = _dfs_splits(g, frozenset(c), want_blocks=False)
+    wrong = sorted(v for v in c if forest.split[v] != split[v])
+    if comp_count != forest.count or wrong:
+        raise RuntimeError(
+            f"block forest diverged: {forest.count} components, recomputed "
+            f"{comp_count}; split counts differ at {wrong[:5]}"
+        )
     return frozenset(c), steps, fallback
 
 

@@ -47,7 +47,7 @@ def test_solve_report(p8_path, tmp_path):
     res = run_cli("solve", p8_path, "--exact", "--trace", "--json", str(out))
     assert res.returncode == 0, res.stderr
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert rep["input"]["n"] == 8
     assert rep["input"]["max_degree"] == 4
     assert rep["solution"]["nodes"] == ["1", "2", "3", "4", "5", "6", "7"]
@@ -67,7 +67,7 @@ def test_solve_prints_to_stdout_without_json_flag(p8_path):
     res = run_cli("solve", p8_path)
     assert res.returncode == 0
     rep = json.loads(res.stdout)
-    assert rep["schema"] == 1
+    assert rep["schema"] == 2
     assert "trace" not in rep
     assert "exact" not in rep
 

@@ -1,5 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+try:
+    import networkx as nx
+except ImportError:  # only the third, independent check below needs it
+    nx = None
 
 from cds_forge import (
     EarDecompositionError,
@@ -15,7 +20,7 @@ from cds_forge import (
     split_counts,
 )
 from cds_forge.checks import validate_ear_decomposition
-from cds_forge.graph import BlockCutForest, _dfs_splits
+from cds_forge.graph import BlockCutForest, OnlineBlockForest, _dfs_splits
 
 from conftest import P8_EDGES, complete_edges, cycle_edges
 
@@ -231,3 +236,60 @@ def test_block_cut_forest_split_formula(case):
             else:
                 assert h == (1 if set(k_nbrs) - {x} else 0)
             assert after[x] == split[x] - h + 1
+
+
+@st.composite
+def host_and_insertion_order(draw):
+    """A random tree plus a few chords, or any graph at all (often
+    disconnected), and a random order in which a prefix of its vertices
+    joins C."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if n > 1 and draw(st.booleans()):
+        edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=n // 2))
+    elif pairs:
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    else:
+        edges = []
+    order = draw(st.permutations(range(n)))
+    return new_graph(n, edges), order[: draw(st.integers(min_value=1, max_value=n))]
+
+
+# the cycle 0-1-2-3-6-5-4: vertex 3 links the tree {5, 6}, rooted at 5,
+# through 6, so that tree must be re-rooted before vertex 4 closes the cycle
+REROOT_CASE = (
+    new_graph(7, [(0, 1), (1, 2), (2, 3), (3, 6), (6, 5), (5, 4), (4, 0)]),
+    [5, 6, 0, 1, 2, 3, 4],
+)
+
+
+@example(REROOT_CASE)
+@given(host_and_insertion_order())
+def test_online_block_forest_matches_kernels(case):
+    # after every insertion: the split counts, the components and the
+    # smallest cut vertex agree with the from-scratch kernels, and the cut
+    # vertices with networkx
+    g, order = case
+    forest = OnlineBlockForest(g)
+    c: set[int] = set()
+    for y in order:
+        forest.add(y)
+        c.add(y)
+        split = split_counts(g, c)
+        assert {v: forest.split[v] for v in c} == split
+        parts = induced_components(g, c)
+        assert forest.count == parts.count
+        for v in c:
+            assert frozenset(forest.component(v)) == parts.members[parts.ids[v]]
+        cuts = sorted(v for v in c if split[v] >= 2)
+        assert forest.smallest_cut() == (cuts[0] if cuts else None)
+        if nx is not None:
+            h = nx.Graph()
+            h.add_nodes_from(c)
+            h.add_edges_from((u, w) for u, w in g.edges() if u in c and w in c)
+            assert set(nx.articulation_points(h)) == set(cuts)
+    built = OnlineBlockForest(g, order)
+    assert built.split == forest.split and built.count == forest.count
+    with pytest.raises(ValueError, match="already in C"):
+        forest.add(order[0])

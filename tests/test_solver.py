@@ -16,12 +16,14 @@ from cds_forge import (
     induced_components,
     naive_snapshot,
     new_graph,
+    restricted_shortest_path,
     snapshot,
     solve,
     split_counts,
     verify_certificate,
 )
-from cds_forge.solver import PotentialState, _find_repair_vertex
+from cds_forge.graph import OnlineBlockForest
+from cds_forge.solver import InfeasibleError, PotentialState, _find_repair_vertex, phase2_merge
 
 from conftest import complete_edges, cycle_edges
 
@@ -149,10 +151,6 @@ def test_input_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(m_fold=1)
-    with pytest.raises(ValueError):
-        SolveConfig(tie_break="random")
-    with pytest.raises(ValueError):
-        SolveConfig(phase2_strategy="steiner")
 
 
 def test_trace_f_values_strictly_decrease_in_phase1(p8, c6, k4):
@@ -341,3 +339,166 @@ def test_find_repair_vertex_matches_piece_scan(seed, n):
     parts = induced_components(g, c)
     pieces = induced_components(g, parts.members[parts.ids[x]] - {x})
     assert _find_repair_vertex(g, c, pieces) == _repair_vertex_by_scan(g, c, pieces)
+
+
+def test_phase2_cross_check_catches_a_corrupted_split(p8, monkeypatch):
+    # p8's phase-1 set has a two-vertex component; one of its ends losing a
+    # block leaves every move as it was, and only the final check sees it
+    init = OnlineBlockForest.__init__
+
+    def corrupted_init(forest, g, s=()):
+        init(forest, g, s)
+        v = max(s, key=lambda u: (forest.split[u] == 1, u))
+        forest.split[v] -= 1
+
+    monkeypatch.setattr(OnlineBlockForest, "__init__", corrupted_init)
+    with pytest.raises(RuntimeError, match="block forest diverged"):
+        solve(p8)
+
+
+def _phase2_reference(g, c, m_fold):
+    """Phase 2 as it was before the block forest: every round recomputes
+    the components and the split counts of the whole set.  Returns (set,
+    [(sorted added vertices, note)], fallback)."""
+    c = set(c)
+    n = g.n
+    moves = []
+    fallback = False
+
+    def grow(added, note):
+        c.update(added)
+        moves.append((tuple(sorted(added)), note))
+
+    for _ in range(n + 2):
+        parts = induced_components(g, c)
+        if parts.count == 1 and len(parts.members[0]) < 3:
+            comp = parts.members[0]
+            grow((min(w for v in comp for w in g.adj[v] if w not in c),), "grow-small")
+            continue
+        split = split_counts(g, c)
+        cuts = sorted(v for v in c if split[v] >= 2)
+        if cuts:
+            x = cuts[0]
+            comp = parts.members[parts.ids[x]]
+            pieces = induced_components(g, comp - {x})
+            y = _find_repair_vertex(g, c, pieces)
+            if y is not None:
+                grow((y,), f"repair at {x}")
+                continue
+            path = restricted_shortest_path(
+                g, pieces.members[0], comp - {x} - pieces.members[0], frozenset(range(n)) - comp
+            )
+            added = [v for v in path if v not in c]
+            if not added:
+                raise InfeasibleError(f"repair at {x} found no usable path")
+            fallback = True
+            grow(added, f"repair-path at {x}")
+            continue
+        if parts.count > 1:
+            pair_candidates: dict = {}
+            for y in range(n):
+                if y in c:
+                    continue
+                touched = sorted({parts.ids[w] for w in g.adj[y] if w in c})
+                for a in range(len(touched)):
+                    for b in range(a + 1, len(touched)):
+                        pair_candidates.setdefault((touched[a], touched[b]), []).append(y)
+            pair = next((ij for ij in sorted(pair_candidates) if len(pair_candidates[ij]) >= 2), None)
+            if pair is not None:
+                grow(pair_candidates[pair][:2], f"pair-merge {pair[0]}+{pair[1]}")
+                continue
+            outside = frozenset(range(n)) - c
+            best = None
+            for i in range(parts.count):
+                for j in range(i + 1, parts.count):
+                    path = restricted_shortest_path(g, parts.members[i], parts.members[j], outside)
+                    if path and (best is None or len(path) < len(best)):
+                        best = path
+            if best is None:
+                best = restricted_shortest_path(
+                    g,
+                    parts.members[0],
+                    parts.members[1],
+                    frozenset(range(n)) - parts.members[0] - parts.members[1],
+                )
+            added = [v for v in best if v not in c]
+            if not added:
+                raise InfeasibleError("component connection added no vertices")
+            fallback = True
+            grow(added, "path-connect")
+            continue
+        deficient = [
+            v for v in range(n) if v not in c and sum(1 for w in g.adj[v] if w in c) < m_fold
+        ]
+        if deficient:
+            v = deficient[0]
+            outside_nb = [w for w in g.adj[v] if w not in c]
+            if outside_nb:
+                grow((outside_nb[0],), f"dominate {v}")
+            else:
+                grow((v,), f"absorb {v}")
+            continue
+        break
+    else:
+        raise InfeasibleError("phase 2 exceeded its growth budget")
+    return frozenset(c), moves, fallback
+
+
+def _assert_phase2_matches_reference(g, c, m_fold):
+    ref_nodes, ref_moves, ref_fallback = _phase2_reference(g, c, m_fold)
+    nodes, steps, fallback = phase2_merge(g, c, SolveConfig(m_fold=m_fold))
+    assert [(s.chosen, s.note) for s in steps] == ref_moves
+    assert (nodes, fallback) == (ref_nodes, ref_fallback)
+
+
+def _grid_graph(rows, cols):
+    # numbered row by row: the checkerboard numbering on which phase 1
+    # stalls into singleton components
+    edges = [(r * cols + k, r * cols + k + 1) for r in range(rows) for k in range(cols - 1)]
+    edges += [(r * cols + k, (r + 1) * cols + k) for r in range(rows - 1) for k in range(cols)]
+    return new_graph(rows * cols, edges)
+
+
+def _wheel_graph(n):
+    return new_graph(n, [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("m_fold", [2, 3])
+@pytest.mark.parametrize(
+    "host",
+    ["grid-4x4", "grid-5x7", "grid-8x8", "ladder-12", "ladder-31", "wheel-9", "wheel-40"],
+)
+def test_phase2_moves_match_reference_on_structured_hosts(host, m_fold):
+    kind, size = host.split("-")
+    if kind == "grid":
+        g = _grid_graph(*map(int, size.split("x")))
+    elif kind == "ladder":
+        g = _grid_graph(2, int(size))
+    else:
+        g = _wheel_graph(int(size))
+    c1, _ = greedy_phase1(g, SolveConfig(m_fold=m_fold, record_trace=False))
+    _assert_phase2_matches_reference(g, c1, m_fold)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=5, max_value=30),
+    st.sampled_from([2, 3, 4]),
+    st.booleans(),
+)
+def test_phase2_moves_match_reference(seed, n, m_fold, from_phase1):
+    # from the phase-1 stall, or from any non-empty set, which reaches the
+    # fallback moves far more often
+    rng = random.Random(seed)
+    if seed % 3 == 0:
+        try:
+            g = generate(GenSpec(kind="geometric", n=n, seed=seed, radius=0.5))
+        except GenerationFailed:
+            g = generate(GenSpec(kind="hpath", n=n, seed=seed))
+    else:
+        g = generate(GenSpec(kind="hpath", n=n, seed=seed, extra=seed % 4))
+    if from_phase1:
+        c, _ = greedy_phase1(g, SolveConfig(m_fold=m_fold, record_trace=False))
+    else:
+        c = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+    _assert_phase2_matches_reference(g, c, m_fold)
