@@ -15,18 +15,12 @@ from .graph import (
     split_counts,
 )
 from .potential import (
-    AlphaBetaGamma,
     Color,
     GainBreakdown,
-    MuDiagnostics,
     PotentialSnapshot,
-    alpha_beta_gamma,
     color_map,
     color_of,
     gain,
-    mu_diagnostics,
-    predicted_worst_after,
-    result1_delta_phat,
     snapshot,
 )
 from .oracle import (
@@ -61,7 +55,6 @@ from .fileio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaBetaGamma",
     "Certificate",
     "Color",
     "ENUMERATION_CAP",
@@ -73,7 +66,6 @@ __all__ = [
     "Graph",
     "InfeasibleError",
     "LemmaCheck",
-    "MuDiagnostics",
     "NotBiconnectedInputError",
     "PotentialSnapshot",
     "RatioReport",
@@ -81,7 +73,6 @@ __all__ = [
     "Solution",
     "TooLargeError",
     "TraceStep",
-    "alpha_beta_gamma",
     "articulation_report",
     "check_lemma_inequality",
     "closed_components",
@@ -97,15 +88,12 @@ __all__ = [
     "greedy_phase1",
     "induced_components",
     "is_biconnected",
-    "mu_diagnostics",
     "naive_snapshot",
     "new_graph",
     "phase2_merge",
-    "predicted_worst_after",
     "ratio_report",
     "read_edge_list",
     "restricted_shortest_path",
-    "result1_delta_phat",
     "snapshot",
     "solve",
     "split_counts",

@@ -4,8 +4,9 @@ Subcommands: solve (greedy + certificate + JSON report), exact (exhaustive
 optimum), gen (instance generator), bench (batch harness with CSV output),
 check (randomized structural suites).
 
-Exit codes: 0 success/valid, 1 input or generation error, 2 invalid
-certificate, benchmark violations or an invalid CDS_FORGE_THREADS.
+Exit codes: 0 success/valid; 1 input, option or generation error, an
+infeasible `exact` or a failing `check` suite; 2 invalid certificate or
+benchmark violations.  `bench` runs its instances one after another.
 """
 
 from __future__ import annotations
@@ -15,16 +16,14 @@ import csv
 import json
 import logging
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 from .checks import SUITES
 from .fileio import format_edge_list, read_edge_list, write_dot, write_edge_list
-from .generator import GenerationFailed, GenSpec, default_radius, generate
+from .generator import GenerationFailed, GenSpec, default_radius, generate, geometric_with_retry
 from .oracle import ENUMERATION_CAP, TooLargeError, exact_min_cds
 from .solver import NotBiconnectedInputError, SolveConfig, solve
 from .verify import ratio_report
@@ -55,7 +54,6 @@ def _certificate_dict(cert) -> dict:
         "size": cert.size,
         "m_fold": cert.m_fold,
         "valid": cert.valid,
-        "fallback_used": cert.fallback_used,
         "reasons": list(cert.reasons),
     }
 
@@ -107,7 +105,7 @@ def cmd_solve(args) -> int:
     ms_solve = int((time.perf_counter() - t0) * 1000)
 
     report = {
-        "schema": 2,
+        "schema": 3,
         "input": {
             "path": args.path,
             "n": g.n,
@@ -205,55 +203,46 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _bench_row(task) -> dict:
-    """Generate, solve, and optionally exact-solve one instance.  Top-level
-    so ProcessPoolExecutor can pickle it."""
-    inst_seed, n, kind, extra, radius, m_fold, exact_max_n = task
+def _bench_row(args, cfg: SolveConfig, i: int) -> dict:
+    """Generate, solve, and optionally exact-solve the i-th bench instance."""
+    inst_seed = args.seed + i
+    rng = random.Random(inst_seed)
+    n = rng.randint(*args.n_range)
+    extra = rng.randint(0, 3)
+    kind = args.kind
+    if kind == "mixed":
+        kind = "hpath" if i % 2 == 0 else "geometric"
     row = {k: "" for k in CSV_HEADER}
     row["seed"] = inst_seed
     row["n"] = n
 
-    g = None
-    if kind == "geometric":
-        r = radius if radius > 0 else default_radius(n)
-        for _ in range(3):
-            try:
-                g = generate(
-                    GenSpec(
-                        kind="geometric",
-                        n=n,
-                        seed=inst_seed,
-                        radius=min(r, math.sqrt(2.0)),
-                    )
-                )
-                break
-            except GenerationFailed:
-                r *= 1.25
+    if kind == "hpath":
+        g = generate(GenSpec(kind="hpath", n=n, seed=inst_seed, extra=extra))
     else:
         try:
-            g = generate(GenSpec(kind="hpath", n=n, seed=inst_seed, extra=extra))
+            g = geometric_with_retry(n, inst_seed, args.radius)
         except GenerationFailed:
-            pass
-    if g is None:
-        row["error"] = "genfail"
-        return row
+            row["error"] = "genfail"
+            return row
 
     t0 = time.perf_counter()
-    sol = solve(g, SolveConfig(m_fold=m_fold, record_trace=False))
+    sol = solve(g, cfg)
     row["ms_solve"] = int((time.perf_counter() - t0) * 1000)
     row["max_degree"] = g.max_degree
     row["greedy_size"] = len(sol.nodes)
     row["t_phase1"] = sol.t_phase1
     row["phase2_added"] = sol.phase2_added
     row["fallback_used"] = int(sol.fallback_used)
-    row["bound_asymptotic"] = f"{3.0 + math.log(g.max_degree + 2):.6f}"
     if not sol.certificate.valid:
         row["error"] = "invalid-certificate"
-    if 0 < exact_max_n and n <= exact_max_n and n <= ENUMERATION_CAP:
-        res = exact_min_cds(g, m_fold)
-        if res.theta is not None:
-            row["theta"] = res.theta
-            row["ratio"] = f"{len(sol.nodes) / res.theta:.6f}"
+    theta = None
+    if 0 < args.exact_max_n and n <= args.exact_max_n and n <= ENUMERATION_CAP:
+        theta = exact_min_cds(g, cfg.m_fold).theta
+    rep = ratio_report(g.n, g.max_degree, len(sol.nodes), theta, cfg.m_fold)
+    row["bound_asymptotic"] = f"{rep.bound_asymptotic:.6f}"
+    if rep.ratio is not None:
+        row["theta"] = theta
+        row["ratio"] = f"{rep.ratio:.6f}"
     return row
 
 
@@ -268,46 +257,13 @@ def _parse_n_range(text: str):
     return lo, hi
 
 
-def _bench_workers(text: str | None, tasks: int) -> int:
-    """Worker processes for `bench` from the CDS_FORGE_THREADS value `text`
-    (None when unset): never more than the CPUs or the tasks.  Raises
-    ValueError on a value that is not an integer >= 1."""
-    if text is None:
-        return 1
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"CDS_FORGE_THREADS must be an integer >= 1, got {text!r}")
-    return min(value, os.cpu_count() or 1, max(tasks, 1))
-
-
 def cmd_bench(args) -> int:
-    lo, hi = args.n_range
-    tasks = []
-    for i in range(args.count):
-        inst_seed = args.seed + i
-        rng = random.Random(inst_seed)
-        n = rng.randint(lo, hi)
-        extra = rng.randint(0, 3)
-        if args.kind == "mixed":
-            kind = "hpath" if i % 2 == 0 else "geometric"
-        else:
-            kind = args.kind
-        tasks.append((inst_seed, n, kind, extra, args.radius, args.m_fold, args.exact_max_n))
-
     try:
-        workers = _bench_workers(os.environ.get("CDS_FORGE_THREADS"), len(tasks))
+        cfg = SolveConfig(m_fold=args.m_fold, record_trace=False)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_row, tasks))
-    else:
-        rows = [_bench_row(t) for t in tasks]
-    rows.sort(key=lambda r: (r["seed"], r["n"]))
+        return 1
+    rows = [_bench_row(args, cfg, i) for i in range(args.count)]
 
     out = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else sys.stdout
     try:

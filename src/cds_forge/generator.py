@@ -118,3 +118,18 @@ def default_radius(n: int) -> float:
     probability without making them dense: the usual connectivity threshold
     scaling with a safety factor, floored for small n."""
     return max(0.16, 1.6 * math.sqrt(math.log(n) / (math.pi * n)))
+
+
+def geometric_with_retry(n: int, seed: int, radius: float = 0.0) -> Graph:
+    """Geometric instance at `radius` (default_radius(n) when 0), clamped to
+    sqrt(2); when no biconnected draw comes out, retry at 1.25x the radius,
+    three tries in all, then raise GenerationFailed."""
+    r = radius if radius > 0 else default_radius(n)
+    for _ in range(3):
+        try:
+            return generate(
+                GenSpec(kind="geometric", n=n, seed=seed, radius=min(r, math.sqrt(2.0)))
+            )
+        except GenerationFailed:
+            r *= 1.25
+    raise GenerationFailed(f"no biconnected geometric draw at 3 radii (n={n}, seed={seed})")

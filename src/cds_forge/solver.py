@@ -567,7 +567,7 @@ def solve(g: Graph, cfg: SolveConfig = SolveConfig()) -> Solution:
     parts = induced_components(g, c1)
     snap1 = snapshot(g, c1, cfg.m_fold)
     c2, trace2, fallback = phase2_merge(g, c1, cfg)
-    cert = verify_certificate(g, c2, cfg.m_fold, fallback_used=fallback)
+    cert = verify_certificate(g, c2, cfg.m_fold)
     return Solution(
         nodes=c2,
         trace=tuple(trace1) + tuple(trace2) if cfg.record_trace else (),

@@ -16,11 +16,10 @@ class Certificate:
     size: int
     m_fold: int
     valid: bool
-    fallback_used: bool = False
     reasons: tuple[str, ...] = ()
 
 
-def verify_certificate(g: Graph, c, m_fold: int = 2, fallback_used: bool = False) -> Certificate:
+def verify_certificate(g: Graph, c, m_fold: int = 2) -> Certificate:
     """Check both backbone conditions directly: the induced subgraph must be
     biconnected and every outside vertex needs m_fold backbone neighbors."""
     c = _check_subset(g, c)
@@ -60,7 +59,6 @@ def verify_certificate(g: Graph, c, m_fold: int = 2, fallback_used: bool = False
         size=len(c),
         m_fold=m_fold,
         valid=bic and dom_ok,
-        fallback_used=fallback_used,
         reasons=tuple(reasons),
     )
 

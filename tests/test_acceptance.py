@@ -17,7 +17,6 @@ import pytest
 
 from cds_forge import (
     GenSpec,
-    GenerationFailed,
     SolveConfig,
     default_radius,
     exact_min_cds,
@@ -35,6 +34,7 @@ from cds_forge.checks import (
     run_phat_oracle,
     run_split_identity,
 )
+from cds_forge.generator import geometric_with_retry
 
 BASE = 20260814
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "..", "acceptance_artifacts")
@@ -52,15 +52,7 @@ def _verdict(num, ok, detail):
 def _gen_instance(seed, n, kind):
     if kind == "hpath":
         return generate(GenSpec(kind="hpath", n=n, seed=seed, extra=seed % 4))
-    r = default_radius(n)
-    for _ in range(3):
-        try:
-            return generate(
-                GenSpec(kind="geometric", n=n, seed=seed, radius=min(r, math.sqrt(2)))
-            )
-        except GenerationFailed:
-            r *= 1.25
-    raise GenerationFailed(f"geometric instance for seed {seed} never came out")
+    return geometric_with_retry(n, seed)
 
 
 def _solve_corpus():

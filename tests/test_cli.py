@@ -1,12 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 from cds_forge import is_biconnected, read_edge_list
-from cds_forge.cli import _bench_workers
 
 P8_FILE = """8 10
 1 2
@@ -22,16 +20,11 @@ P8_FILE = """8 10
 """
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "cds_forge.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
-        cwd=cwd,
     )
 
 
@@ -47,7 +40,7 @@ def test_solve_report(p8_path, tmp_path):
     res = run_cli("solve", p8_path, "--exact", "--trace", "--json", str(out))
     assert res.returncode == 0, res.stderr
     rep = json.loads(out.read_text())
-    assert rep["schema"] == 2
+    assert rep["schema"] == 3
     assert rep["input"]["n"] == 8
     assert rep["input"]["max_degree"] == 4
     assert rep["solution"]["nodes"] == ["1", "2", "3", "4", "5", "6", "7"]
@@ -67,7 +60,7 @@ def test_solve_prints_to_stdout_without_json_flag(p8_path):
     res = run_cli("solve", p8_path)
     assert res.returncode == 0
     rep = json.loads(res.stdout)
-    assert rep["schema"] == 2
+    assert rep["schema"] == 3
     assert "trace" not in rep
     assert "exact" not in rep
 
@@ -184,21 +177,49 @@ def test_bench_empty(tmp_path):
     ]
 
 
-def _strip_ms(path):
+BENCH_GOLDEN = """\
+seed,n,max_degree,greedy_size,theta,ratio,bound_asymptotic,t_phase1,phase2_added,fallback_used,error
+3,11,4,11,8,1.375000,4.791759,5,6,0,
+4,11,6,8,8,1.000000,5.079442,1,3,1,
+5,14,3,11,,,4.609438,1,0,0,
+6,14,,,,,,,,,genfail
+7,12,3,12,11,1.090909,4.609438,3,4,0,
+8,11,,,,,,,,,genfail
+9,13,5,11,,,4.945910,1,2,0,
+10,14,9,7,,,5.397895,2,2,0,
+11,13,4,13,,,4.791759,6,7,1,
+12,13,,,,,,,,,genfail
+13,12,7,9,8,1.125000,5.197225,4,5,0,
+14,10,,,,,,,,,genfail
+"""
+
+
+def test_bench_golden_rows():
+    # hpath rows (odd seeds), geometric rows of which seeds 4 and 10 need the
+    # third radius, genfail rows, theta/ratio rows and fallback_used=1 rows
+    res = run_cli(
+        "bench", "--kind", "mixed", "--radius", "0.21", "--n-range", "10..14",
+        "--seed", "3", "--count", "12", "--exact-max-n", "12",
+    )
+    assert res.returncode == 0, res.stderr
     rows = []
-    for line in path.read_text().splitlines():
+    for line in res.stdout.splitlines():
         cols = line.split(",")
         del cols[10]
-        rows.append(",".join(cols))
-    return rows
+        rows.append(",".join(cols) + "\n")
+    assert "".join(rows) == BENCH_GOLDEN
+    assert res.stderr.splitlines() == [
+        "instances=12 max_ratio=1.375000 mean_ratio=1.147727 "
+        "fallbacks=2 errors=4 violations=0"
+    ]
 
 
-def test_bench_parallel_matches_serial(tmp_path):
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    args = ["bench", "--count", "6", "--n-range", "8..14", "--exact-max-n", "10", "--seed", "21"]
-    assert run_cli(*args, "--csv", str(a)).returncode == 0
-    assert run_cli(*args, "--csv", str(b), env_extra={"CDS_FORGE_THREADS": "3"}).returncode == 0
-    assert _strip_ms(a) == _strip_ms(b)
+def test_bench_rejects_bad_m_fold():
+    res = run_cli("bench", "--count", "2", "--m-fold", "1")
+    assert res.returncode == 1
+    assert "error: m_fold must be at least 2" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_check_passing_suite(tmp_path):
@@ -229,20 +250,3 @@ def test_check_advisory_suite_exits_zero(tmp_path):
     )
     assert res.returncode == 0
     assert "advisory=yes" in res.stdout
-
-
-def test_bench_workers_parsing():
-    # only the parser is called, so no pool is ever started
-    for bad in ("0", "-3", "abc"):
-        with pytest.raises(ValueError, match="CDS_FORGE_THREADS"):
-            _bench_workers(bad, 6)
-    assert _bench_workers("100000", 6) == min(os.cpu_count() or 1, 6)
-    assert _bench_workers("100000", 1) == 1
-    assert _bench_workers(None, 6) == 1
-
-
-def test_bench_rejects_bad_thread_count():
-    res = run_cli("bench", "--count", "2", env_extra={"CDS_FORGE_THREADS": "abc"})
-    assert res.returncode == 2
-    assert "CDS_FORGE_THREADS" in res.stderr
-    assert "Traceback" not in res.stderr

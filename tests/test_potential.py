@@ -6,16 +6,18 @@ from hypothesis import given, strategies as st
 from cds_forge import (
     Color,
     GenSpec,
-    alpha_beta_gamma,
     color_map,
     color_of,
     gain,
     generate,
-    mu_diagnostics,
     new_graph,
+    snapshot,
+)
+from cds_forge.checks import (
+    alpha_beta_gamma,
+    mu_diagnostics,
     predicted_worst_after,
     result1_delta_phat,
-    snapshot,
 )
 
 from conftest import cycle_edges

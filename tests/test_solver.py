@@ -123,7 +123,6 @@ def test_cycle_six(c6):
     assert sol.nodes == frozenset(range(6))
     assert sol.fallback_used
     assert sol.certificate.valid
-    assert sol.certificate.fallback_used
     assert len(sol.nodes) == exact_min_cds(c6).theta
 
 
@@ -185,7 +184,7 @@ def test_solve_random_hosts(seed):
         g = generate(GenSpec(kind="hpath", n=n, seed=seed, extra=seed % 4))
     sol = solve(g)
     assert sol.certificate.valid
-    assert verify_certificate(g, sol.nodes, fallback_used=sol.fallback_used).valid
+    assert verify_certificate(g, sol.nodes).valid
     assert sol.phase1_nodes <= sol.nodes
     outside = set(range(g.n)) - sol.phase1_nodes
     assert all(gain(g, sol.phase1_nodes, y).total <= 0 for y in outside)
@@ -195,7 +194,7 @@ def test_solve_random_hosts(seed):
 
 def test_solution_certificate_round_trip(p8):
     sol = solve(p8)
-    fresh = verify_certificate(p8, sol.nodes, fallback_used=sol.fallback_used)
+    fresh = verify_certificate(p8, sol.nodes)
     assert fresh == sol.certificate
 
 

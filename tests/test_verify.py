@@ -55,11 +55,6 @@ def test_m_fold_matters(k5):
     assert not verify_certificate(k5, {0, 1, 2}, m_fold=4).valid
 
 
-def test_fallback_flag_passthrough(p8):
-    assert verify_certificate(p8, range(7), fallback_used=True).fallback_used
-    assert not verify_certificate(p8, range(7)).fallback_used
-
-
 def test_ratio_report_reference():
     rep = ratio_report(n=8, max_degree=4, greedy_size=7, theta=7)
     assert rep.ratio == pytest.approx(1.0)
