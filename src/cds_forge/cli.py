@@ -5,8 +5,9 @@ optimum), gen (instance generator), bench (batch harness with CSV output),
 check (randomized structural suites).
 
 Exit codes: 0 success/valid; 1 input, option or generation error, an
-infeasible `exact` or a failing `check` suite; 2 invalid certificate or
-benchmark violations.  `bench` runs its instances one after another.
+output file that cannot be written, an infeasible `exact` or a failing
+`check` suite; 2 invalid certificate or benchmark violations.  `bench` runs
+its instances one after another.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict
 from .checks import SUITES
 from .fileio import format_edge_list, read_edge_list, write_dot, write_edge_list
 from .generator import GenerationFailed, GenSpec, default_radius, generate, geometric_with_retry
-from .oracle import ENUMERATION_CAP, TooLargeError, exact_min_cds
+from .oracle import ENUMERATION_CAP, exact_min_cds
 from .solver import NotBiconnectedInputError, SolveConfig, solve
 from .verify import ratio_report
 
@@ -150,13 +151,17 @@ def cmd_solve(args) -> int:
         )
 
     text = json.dumps(report, indent=2) + "\n"
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.dot:
-        write_dot(args.dot, g, sol.nodes, labels, args.m_fold)
+    try:
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.dot:
+            write_dot(args.dot, g, sol.nodes, labels, args.m_fold)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if sol.certificate.valid else 2
 
 
@@ -168,7 +173,7 @@ def cmd_exact(args) -> int:
         return 1
     try:
         res = exact_min_cds(g, args.m_fold)
-    except TooLargeError as exc:
+    except ValueError as exc:  # TooLargeError or a bad m_fold
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if res.optimum is None:
@@ -263,10 +268,13 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = [_bench_row(args, cfg, i) for i in range(args.count)]
-
-    out = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else sys.stdout
     try:
+        out = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else sys.stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        rows = [_bench_row(args, cfg, i) for i in range(args.count)]
         writer = csv.DictWriter(out, fieldnames=CSV_HEADER, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)

@@ -6,7 +6,6 @@ every traversal, and therefore every tie-break downstream, is reproducible.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -213,87 +212,6 @@ def _dfs_splits(g: Graph, s: frozenset[int], want_blocks: bool):
     return split, comp_count, blocks
 
 
-class BlockCutForest:
-    """Block-cut forest of G[s], built from the split counts and the blocks
-    of one `_dfs_splits(..., want_blocks=True)` pass.
-
-    Tree nodes are the blocks (ids 0..len(blocks)-1) followed by one node
-    per cut vertex; a cut vertex is joined to every block that contains it.
-    Each tree is rooted at its first block and numbered in preorder, so a
-    subtree is a contiguous range of preorder numbers.  `pieces_hit` answers,
-    for a cut vertex x, how many pieces of its component minus x contain one
-    of a given set of vertices: every piece is the vertex set of one branch
-    of the tree at x's node.
-    """
-
-    __slots__ = ("node_of", "tin", "tout", "child_tins")
-
-    def __init__(self, split: dict, blocks):
-        nb = len(blocks)
-        node_of: dict[int, int] = {}
-        cut_node: dict[int, int] = {}
-        adj: list[list[int]] = [[] for _ in range(nb)]
-        for b, block in enumerate(blocks):
-            for v in block:
-                if split[v] < 2:
-                    node_of[v] = b
-                    continue
-                c = cut_node.get(v)
-                if c is None:
-                    c = cut_node[v] = node_of[v] = len(adj)
-                    adj.append([])
-                adj[b].append(c)
-                adj[c].append(b)
-        tin = [-1] * len(adj)
-        tout = [0] * len(adj)
-        child_tins: dict[int, list[int]] = {}
-        timer = 0
-        for root in range(nb):
-            if tin[root] != -1:
-                continue
-            tin[root] = timer
-            timer += 1
-            stack = [(root, iter(adj[root]))]
-            while stack:
-                u, it = stack[-1]
-                w = next(it, None)
-                if w is None:
-                    stack.pop()
-                    tout[u] = timer - 1
-                    continue
-                if tin[w] != -1:
-                    continue
-                tin[w] = timer
-                timer += 1
-                if w >= nb:
-                    child_tins[w] = []
-                if u >= nb:
-                    child_tins[u].append(tin[w])
-                stack.append((w, iter(adj[w])))
-        self.node_of = node_of
-        self.tin = tin
-        self.tout = tout
-        self.child_tins = child_tins
-
-    def pieces_hit(self, x: int, vertices) -> int:
-        """Pieces of (component of cut vertex x) - x that contain a vertex
-        of `vertices`; every vertex must lie in x's component, x itself is
-        ignored."""
-        node_of, tin = self.node_of, self.tin
-        xn = node_of[x]
-        lo, hi = tin[xn], self.tout[xn]
-        kids = self.child_tins[xn]
-        hit = set()
-        for u in vertices:
-            if u == x:
-                continue
-            t = tin[node_of[u]]
-            # inside x's subtree: the child block whose preorder range holds
-            # t; outside it: the one piece through x's parent block
-            hit.add(bisect_right(kids, t) - 1 if lo < t <= hi else -1)
-        return len(hit)
-
-
 class OnlineBlockForest:
     """Split counts and components of G[C] kept exact while C only grows.
 
@@ -307,8 +225,10 @@ class OnlineBlockForest:
     An edge inside a tree closes a cycle, so the blocks on the tree path
     between its ends condense into one.  `split[v]` is the number of blocks
     holding v, which is the number of pieces v's component falls into once
-    v is deleted (0 for a singleton, as in `_dfs_splits`).  Block ids, roots
-    and component ids depend on the insertion order; no query exposes them.
+    v is deleted (0 for a singleton, as in `_dfs_splits`).  `pieces_hit`
+    names those pieces by climbing the tree.  Block ids, roots and component
+    ids depend on the insertion order; no query exposes them.  Both greedy
+    phases grow C through one of these forests.
     """
 
     __slots__ = ("g", "in_c", "split", "comp", "members", "vparent", "bparent", "bunion", "_cuts")
@@ -342,6 +262,28 @@ class OnlineBlockForest:
         while cuts and split[cuts[0]] < 2:
             heappop(cuts)
         return cuts[0] if cuts else None
+
+    def pieces_hit(self, x: int, vertices) -> int:
+        """Pieces of (component of x) - x that contain a vertex of
+        `vertices`; every vertex must lie in x's component, x itself is
+        ignored."""
+        vparent, bparent, find = self.vparent, self.bparent, self._find
+        hit = set()
+        for u in vertices:
+            if u == x:
+                continue
+            # a climb that reaches x names the child block it came through;
+            # one that reaches the root lies beyond x's parent block
+            piece = -1
+            v = u
+            while vparent[v] >= 0:
+                block = find(vparent[v])
+                v = bparent[block]
+                if v == x:
+                    piece = block
+                    break
+            hit.add(piece)
+        return len(hit)
 
     def add(self, y: int) -> None:
         if self.in_c[y]:

@@ -138,6 +138,8 @@ def exact_min_cds(g: Graph, m_fold: int = 2, node_budget: int | None = None) -> 
     among the optima.  optimum is None when no subset up to the budget works
     (non-biconnected hosts can be genuinely infeasible).
     """
+    if m_fold < 2:
+        raise ValueError("m_fold must be at least 2")
     if g.n > ENUMERATION_CAP:
         raise TooLargeError(f"n={g.n} exceeds the exact cap of {ENUMERATION_CAP}")
     from itertools import combinations

@@ -2,7 +2,8 @@
 
 Phase 1 greedily adds the vertex with the largest potential drop until no
 candidate drops the potential any further; a candidate's drop is read off
-the split counts and the block-cut forest of the current set.  Phase 2
+counters and an insert-only block forest that follow the set as it grows.
+Both phases grow the set through such a forest.  Phase 2
 welds the leftover pieces into one biconnected component: preferably by
 adding two common outside neighbors of a component pair, with repair and
 shortest-path fallbacks for the configurations the greedy can actually
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
-    BlockCutForest,
     Graph,
     OnlineBlockForest,
     _check_subset,
@@ -80,6 +80,19 @@ def _require_biconnected_host(g: Graph) -> None:
     cuts = sorted(v for v in split if split[v] >= 2)
     if cuts:
         raise NotBiconnectedInputError(f"input graph has a cut vertex: {cuts[0]}")
+
+
+def _checked_splits(g: Graph, forest: OnlineBlockForest, c) -> tuple[dict, int]:
+    """Split counts and component count of G[c] from one low-link pass,
+    checked against the forest fed the same vertices."""
+    split, comp_count, _ = _dfs_splits(g, frozenset(c), want_blocks=False)
+    wrong = sorted(v for v in c if forest.split[v] != split[v])
+    if comp_count != forest.count or wrong:
+        raise RuntimeError(
+            f"block forest diverged: {forest.count} components, recomputed "
+            f"{comp_count}; split counts differ at {wrong[:5]}"
+        )
+    return split, comp_count
 
 
 class PotentialState:
@@ -256,14 +269,15 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     Returns (chosen set, trace steps).  A `PotentialState` keeps, for every
     outside candidate, the components of G[C] it touches, the parts of the
     spanning subgraph it would merge and the under-dominated vertices it
-    would cover, so those terms of its gain are read in O(1).  Each
-    iteration still makes one low-link pass over G[C] and builds the
-    block-cut forest of G[C] from its blocks: a candidate's exact
-    worst-deletion term comes from the split counts, the forest, and the
-    components ranked by their largest split.  A cheap lower bound on that
-    term first prunes candidates that cannot beat the current best.  Ties go
-    to the smallest vertex id.  Every iteration recomputes each potential
-    term from scratch and checks it against the state and the tracked value.
+    would cover, so those terms of its gain are read in O(1).  An
+    `OnlineBlockForest` fed every chosen vertex keeps the split counts of
+    G[C]: a candidate's exact worst-deletion term comes from those counts,
+    the forest's `pieces_hit`, and the components ranked by their largest
+    split.  A cheap lower bound on that term first prunes candidates that
+    cannot beat the current best.  Ties go to the smallest vertex id.  Every
+    iteration recomputes each potential term from scratch, with one
+    low-link pass over G[C] for the worst-deletion term, and checks it
+    against the state, the forest and the tracked value.
     """
     _require_biconnected_host(g)
     n = g.n
@@ -272,6 +286,8 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     in_c, cnt, d_ms, hits_of, labels_of = (
         state.in_c, state.cnt, state.d_m, state.hits, state.label_counts
     )
+    forest = OnlineBlockForest(g)
+    split = forest.split
     c_set: set[int] = set()
     trace: list[TraceStep] = []
     # worst-deletion, closed-part and under-dominated terms, tracked through
@@ -280,10 +296,10 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
 
     for _ in range(2 * n):
         if c_set:
-            # the one low-link pass of the iteration; everything the
-            # candidates need is read off its split counts and blocks
-            split, p, blocks = _dfs_splits(g, frozenset(c_set), want_blocks=True)
-            forest = BlockCutForest(split, blocks)
+            # from-scratch split counts: the independent source of the
+            # worst-deletion term and the check on the forest
+            fresh, p = _checked_splits(g, forest, c_set)
+            phat = p - 1 + max(fresh.values())
             comp = state.comp
             comp_max = dict.fromkeys(state.comp_members, 0)
             comp_cuts: dict[int, list[int]] = {k: [] for k in comp_max}
@@ -298,7 +314,6 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
             # components by falling max split: the largest untouched one is
             # found after skipping at most the touched ones
             comp_order = sorted(comp_max, key=comp_max.__getitem__, reverse=True)
-            phat = p - 1 + max(split.values())
         else:
             p = 0
             comp_order = []
@@ -347,7 +362,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
             # the pieces of K - x holding a neighbor of y fuse through y, so
             # x splits K' into split(x) - h(x) + 1 pieces, h(x) the number of
             # fused pieces: 0 only for the lone neighbor of y in K, 1 for
-            # every non-cut vertex otherwise, and read off the block-cut
+            # every non-cut vertex otherwise, and read off the block
             # forest for cut vertices.
             top = max(unaff_max, a_cnt)
             for k, nbrs in hits.items():
@@ -371,6 +386,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         y, d_phat, d_q, d_m = best
         color = _color_from_count(cnt[y], m_fold)
         state.add(y)
+        forest.add(y)
         c_set.add(y)
         tracked = (tracked[0] - d_phat, tracked[1] - d_q, tracked[2] - d_m)
         if cfg.record_trace:
@@ -551,13 +567,7 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
     else:
         raise InfeasibleError("phase 2 exceeded its growth budget")
 
-    split, comp_count, _ = _dfs_splits(g, frozenset(c), want_blocks=False)
-    wrong = sorted(v for v in c if forest.split[v] != split[v])
-    if comp_count != forest.count or wrong:
-        raise RuntimeError(
-            f"block forest diverged: {forest.count} components, recomputed "
-            f"{comp_count}; split counts differ at {wrong[:5]}"
-        )
+    _checked_splits(g, forest, c)
     return frozenset(c), steps, fallback
 
 

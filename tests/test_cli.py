@@ -126,6 +126,17 @@ def test_exact_too_large(tmp_path):
     assert "exceeds" in res.stderr
 
 
+@pytest.mark.parametrize("m_fold", ["0", "1"])
+def test_exact_rejects_bad_m_fold(tmp_path, m_fold):
+    path = tmp_path / "chorded_c4.edges"
+    path.write_text("4 5\n1 2\n2 3\n3 4\n4 1\n1 3\n")
+    res = run_cli("exact", str(path), "--m-fold", m_fold)
+    assert res.returncode == 1
+    assert "error: m_fold must be at least 2" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def test_gen_writes_biconnected_instances(tmp_path):
     out = tmp_path / "h.edges"
     res = run_cli("gen", "--kind", "hpath", "--n", "15", "--seed", "3", "--out", str(out))
@@ -220,6 +231,24 @@ def test_bench_rejects_bad_m_fold():
     assert "error: m_fold must be at least 2" in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("solve", "{p8}", "--json", "{missing}/x.json"),
+        ("solve", "{p8}", "--dot", "{missing}/x.dot"),
+        ("bench", "--count", "2", "--csv", "{missing}/x.csv"),
+    ],
+    ids=["solve-json", "solve-dot", "bench-csv"],
+)
+def test_unwritable_output_path(p8_path, tmp_path, args):
+    missing = tmp_path / "missing"
+    res = run_cli(*(a.format(p8=p8_path, missing=missing) for a in args))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+    assert not missing.exists()
 
 
 def test_check_passing_suite(tmp_path):

@@ -20,7 +20,7 @@ from cds_forge import (
     split_counts,
 )
 from cds_forge.checks import validate_ear_decomposition
-from cds_forge.graph import BlockCutForest, OnlineBlockForest, _dfs_splits
+from cds_forge.graph import OnlineBlockForest
 
 from conftest import P8_EDGES, complete_edges, cycle_edges
 
@@ -196,10 +196,10 @@ def test_complete_graph_structure():
 
 @st.composite
 def host_subset_candidate(draw):
-    """A random graph, a vertex set C and a candidate y outside C.  The
-    graph is a random tree plus a few chords, so G[C] has many cut
-    vertices, and y gets extra neighbors, so it often touches several
-    pieces at one cut vertex."""
+    """A random graph, a vertex set C in a random insertion order and a
+    candidate y outside C.  The graph is a random tree plus a few chords, so
+    G[C] has many cut vertices, and y gets extra neighbors, so it often
+    touches several pieces at one cut vertex."""
     n = draw(st.integers(min_value=2, max_value=12))
     edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -208,17 +208,21 @@ def host_subset_candidate(draw):
     others = [v for v in range(n) if v != y]
     edges += [(y, w) for w in draw(st.sets(st.sampled_from(others)))]
     c = draw(st.sets(st.sampled_from(others), min_size=len(others) // 2))
-    return new_graph(n, edges), frozenset(c), y
+    return new_graph(n, edges), draw(st.permutations(sorted(c))), y
 
 
 @given(host_subset_candidate())
-def test_block_cut_forest_split_formula(case):
+def test_online_block_forest_pieces_hit(case):
     # adding y merges the components of G[C] it touches into K'.  y splits
     # K' into one piece per touched component, and x in a touched K into
-    # split(x) - h(x) + 1, h(x) = pieces of K - x holding a neighbor of y
-    g, c, y = case
-    split, _, blocks = _dfs_splits(g, c, want_blocks=True)
-    forest = BlockCutForest(split, blocks)
+    # split(x) - h(x) + 1, h(x) = pieces of K - x holding a neighbor of y.
+    # The forest's shape depends on the insertion order; h(x) must not.
+    g, order, y = case
+    c = frozenset(order)
+    split = split_counts(g, c)
+    forest = OnlineBlockForest(g)
+    for v in order:
+        forest.add(v)
     parts = induced_components(g, c)
     nbrs = [w for w in g.adj[y] if w in c]
     touched = {parts.ids[w] for w in nbrs}
@@ -231,9 +235,8 @@ def test_block_cut_forest_split_formula(case):
         for x in k:
             pieces = induced_components(g, k - {x}).members
             h = sum(1 for piece in pieces if piece.intersection(k_nbrs))
-            if split[x] >= 2:
-                assert forest.pieces_hit(x, k_nbrs) == h
-            else:
+            assert forest.pieces_hit(x, k_nbrs) == h
+            if split[x] < 2:
                 assert h == (1 if set(k_nbrs) - {x} else 0)
             assert after[x] == split[x] - h + 1
 

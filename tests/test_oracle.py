@@ -75,6 +75,12 @@ def test_exact_too_large():
         exact_min_cds(g)
 
 
+@pytest.mark.parametrize("m_fold", [0, 1])
+def test_exact_rejects_m_fold_below_two(k4, m_fold):
+    with pytest.raises(ValueError, match="m_fold must be at least 2"):
+        exact_min_cds(k4, m_fold)
+
+
 def test_exact_respects_budget(p8):
     res = exact_min_cds(p8, node_budget=5)
     assert res.theta is None  # optimum has 7 nodes, out of reach under 5

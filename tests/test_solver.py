@@ -312,6 +312,21 @@ def test_phase1_cross_check_catches_a_corrupted_counter(p8, monkeypatch, corrupt
         greedy_phase1(p8)
 
 
+def test_phase1_cross_check_catches_a_corrupted_forest(p8, monkeypatch):
+    # the first vertex to gain a block gains one too many; the next
+    # iteration's low-link pass must see it before any candidate reads it
+    bump = OnlineBlockForest._bump
+
+    def corrupted_bump(forest, v):
+        bump(forest, v)
+        if sum(forest.split) == 1:
+            forest.split[v] += 1
+
+    monkeypatch.setattr(OnlineBlockForest, "_bump", corrupted_bump)
+    with pytest.raises(RuntimeError, match="block forest diverged"):
+        greedy_phase1(p8)
+
+
 def _repair_vertex_by_scan(g, c, pieces):
     # the definition: the smallest outside vertex with a neighbor in at
     # least two pieces, found by testing every piece
@@ -347,6 +362,8 @@ def test_phase2_cross_check_catches_a_corrupted_split(p8, monkeypatch):
 
     def corrupted_init(forest, g, s=()):
         init(forest, g, s)
+        if not s:
+            return
         v = max(s, key=lambda u: (forest.split[u] == 1, u))
         forest.split[v] -= 1
 
