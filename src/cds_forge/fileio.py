@@ -1,8 +1,9 @@
 """Edge-list files and DOT export.
 
 The edge-list format: first significant line is "n m", then m lines "u v".
-Labels are arbitrary whitespace-free tokens and are mapped to dense internal
-ids in order of first appearance; lines starting with '#' are comments.
+Labels are whitespace-free tokens that do not start with '#' and are mapped
+to dense internal ids in order of first appearance; lines starting with '#'
+are comments.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ def read_edge_list(path: str):
                 raise ValueError(f"{path}:{lineno}: self-loop on {a!r}")
             pair = []
             for tok in (a, b):
+                if tok.startswith("#"):
+                    # a line starting with such a label would read as a comment
+                    raise ValueError(f"{path}:{lineno}: label {tok!r} starts with '#'")
                 if tok not in index:
                     if len(labels) == header[0]:
                         raise ValueError(
@@ -98,6 +102,11 @@ _DOT_STYLE = {
 }
 
 
+def _dot_id(label: str) -> str:
+    """A DOT quoted ID: backslashes and double quotes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def format_dot(g: Graph, backbone, labels=None, m_fold: int = 2) -> str:
     """Render the graph with the backbone coloring: backbone vertices are
     filled black, dominated outsiders gray, under-dominated ones red
@@ -108,9 +117,9 @@ def format_dot(g: Graph, backbone, labels=None, m_fold: int = 2) -> str:
     out = io.StringIO()
     out.write("graph backbone {\n")
     for v in range(g.n):
-        out.write(f'  "{labels[v]}"{_DOT_STYLE[colors[v]]};\n')
+        out.write(f"  {_dot_id(labels[v])}{_DOT_STYLE[colors[v]]};\n")
     for u, v in g.edges():
-        out.write(f'  "{labels[u]}" -- "{labels[v]}";\n')
+        out.write(f"  {_dot_id(labels[u])} -- {_dot_id(labels[v])};\n")
     out.write("}\n")
     return out.getvalue()
 

@@ -134,46 +134,67 @@ def closed_components(g: Graph, s) -> ComponentPartition:
     return ComponentPartition(ids=ids, members=tuple(members))
 
 
-def _dfs_splits(g: Graph, s: frozenset[int], want_blocks: bool):
-    """One low-link pass over G[s].
+def _dfs_splits(g: Graph, s, want_blocks: bool):
+    """One low-link pass over G[s] (Tarjan, SIAM J. Comput. 1972).
 
-    Returns (split, comp_count, blocks) where split[x] is the number of
-    pieces x's own component falls into once x is deleted: 0 for a singleton
-    component, 1 for a non-cut vertex, >= 2 for a cut vertex.
+    Returns (split, comp_count, blocks).  `split` is a list over all n
+    vertices: split[x] is the number of pieces x's own component falls into
+    once x is deleted (0 for a singleton component, 1 for a non-cut vertex,
+    >= 2 for a cut vertex), and 0 for every x outside s.  `blocks` lists the
+    blocks of G[s] in the order the pass closes them, or is None unless
+    `want_blocks`.  Roots are taken in id order and each adjacency is walked
+    in its sorted order, skipping non-members inline.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    split = dict.fromkeys(s, 0)
+    adj = g.adj
+    member = [False] * g.n
+    for v in s:
+        member[v] = True
+    disc = [-1] * g.n
+    low = [0] * g.n
+    split = [0] * g.n
     comp_count = 0
     timer = 0
     edge_stack: list[tuple[int, int]] = []
     blocks: list[frozenset[int]] | None = [] if want_blocks else None
 
-    def nbrs(v):
-        return iter([w for w in g.adj[v] if w in s])
-
     for root in sorted(s):
-        if root in disc:
+        if disc[root] >= 0:
             continue
         comp_count += 1
         disc[root] = low[root] = timer
         timer += 1
-        isolated = True
-        stack = [(root, nbrs(root))]
+        # frames are (vertex, DFS parent, iterator over its adjacency)
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            v, it = stack[-1]
-            w = next(it, None)
-            if w is None:
+            v, u, it = stack[-1]
+            for w in it:
+                if not member[w] or w == u:
+                    continue
+                dw = disc[w]
+                if dw < 0:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    # a non-root vertex owns the piece holding its parent
+                    split[w] = 1
+                    if want_blocks:
+                        edge_stack.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if dw < disc[v]:
+                    if dw < low[v]:
+                        low[v] = dw
+                    if want_blocks:
+                        edge_stack.append((v, w))
+            else:
                 stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if u == root:
-                        split[u] += 1
-                    elif low[v] >= disc[u]:
-                        split[u] += 1
-                    if blocks is not None and low[v] >= disc[u]:
+                if u < 0:
+                    continue
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                # always true at the root: each of its subtrees is a piece
+                if low[v] >= disc[u]:
+                    split[u] += 1
+                    if want_blocks:
                         block = {u, v}
                         while edge_stack and edge_stack[-1] != (u, v):
                             a, b = edge_stack.pop()
@@ -182,33 +203,10 @@ def _dfs_splits(g: Graph, s: frozenset[int], want_blocks: bool):
                         if edge_stack:
                             edge_stack.pop()
                         blocks.append(frozenset(block))
-                continue
-            if w == parent.get(v):
-                continue
-            if w in disc:
-                if disc[w] < disc[v]:
-                    low[v] = min(low[v], disc[w])
-                    if blocks is not None:
-                        edge_stack.append((v, w))
-            else:
-                isolated = False
-                disc[w] = low[w] = timer
-                timer += 1
-                parent[w] = v
-                if blocks is not None:
-                    edge_stack.append((v, w))
-                stack.append((w, nbrs(w)))
-        if isolated:
+        if want_blocks and split[root] == 0:
             # no incident edges inside s: deleting the vertex deletes its
             # whole component, hence split 0 and a one-vertex block
-            split[root] = 0
-            if blocks is not None:
-                blocks.append(frozenset([root]))
-    # non-root vertices own the piece containing their parent on top of any
-    # separated child subtrees
-    for v in s:
-        if v in parent:
-            split[v] += 1
+            blocks.append(frozenset([root]))
     return split, comp_count, blocks
 
 
@@ -390,7 +388,7 @@ def split_counts(g: Graph, s) -> dict:
     """split[x] for every x in s, as defined in _dfs_splits."""
     s = _check_subset(g, s)
     split, _, _ = _dfs_splits(g, s, want_blocks=False)
-    return split
+    return {v: split[v] for v in s}
 
 
 @dataclass(frozen=True)
@@ -414,7 +412,7 @@ def articulation_report(g: Graph, s) -> ArticulationReport:
         for v in sorted(block & cut_set):
             bc_edges.append((v, i))
     return ArticulationReport(
-        split_count=split,
+        split_count={v: split[v] for v in s},
         cut_vertices=cuts,
         component_count=comp_count,
         blocks=blocks,
@@ -428,7 +426,7 @@ def is_biconnected(g: Graph, s) -> bool:
     if len(s) < 3:
         return False
     split, comp_count, _ = _dfs_splits(g, s, want_blocks=False)
-    return comp_count == 1 and max(split.values()) <= 1
+    return comp_count == 1 and max(split) <= 1
 
 
 def ear_decomposition(g: Graph) -> tuple[tuple[int, ...], ...]:

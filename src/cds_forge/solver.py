@@ -77,17 +77,18 @@ def _require_biconnected_host(g: Graph) -> None:
     split, comps, _ = _dfs_splits(g, frozenset(range(g.n)), want_blocks=False)
     if comps != 1:
         raise NotBiconnectedInputError("input graph is disconnected")
-    cuts = sorted(v for v in split if split[v] >= 2)
+    cuts = [v for v, sv in enumerate(split) if sv >= 2]
     if cuts:
         raise NotBiconnectedInputError(f"input graph has a cut vertex: {cuts[0]}")
 
 
-def _checked_splits(g: Graph, forest: OnlineBlockForest, c) -> tuple[dict, int]:
-    """Split counts and component count of G[c] from one low-link pass,
-    checked against the forest fed the same vertices."""
-    split, comp_count, _ = _dfs_splits(g, frozenset(c), want_blocks=False)
-    wrong = sorted(v for v in c if forest.split[v] != split[v])
-    if comp_count != forest.count or wrong:
+def _checked_splits(g: Graph, forest: OnlineBlockForest, c) -> tuple[list[int], int]:
+    """Split counts (a list over all n vertices, 0 outside c) and component
+    count of G[c] from one low-link pass, checked against the forest fed
+    the same vertices."""
+    split, comp_count, _ = _dfs_splits(g, c, want_blocks=False)
+    if comp_count != forest.count or split != forest.split:
+        wrong = [v for v in range(g.n) if forest.split[v] != split[v]]
         raise RuntimeError(
             f"block forest diverged: {forest.count} components, recomputed "
             f"{comp_count}; split counts differ at {wrong[:5]}"
@@ -112,11 +113,18 @@ class PotentialState:
       into one;
     - `d_m[y]`: the under-dominated vertices y's joining removes: y itself
       while it has fewer than m_fold neighbors in C, and every outside
-      neighbor one short of m_fold.
+      neighbor one short of m_fold;
+    - `key[y]`: `len(hits[y]) + len(label_counts[y]) - 1 + d_m[y]`, the
+      local part of the phase-1 pruning bound, and y's place in
+      `buckets[key[y]]`, a set per key value.  Every step that changes one
+      of the three terms marks y in `dirty`, and `rebucket` moves the marked
+      vertices to their new buckets; until then `key` and `buckets` describe
+      the set before the marks.
 
-    The `hits` and `label_counts` entries of members of C are None.
-    Component ids and part labels are arbitrary and no result depends on
-    them.
+    It also keeps `touchers[k]`, the outside vertices with a neighbor in
+    component k.  The `hits`, `label_counts` and `key` entries of members
+    of C are None.  Component ids and part labels are arbitrary and no
+    result depends on them.
     """
 
     def __init__(self, g: Graph, m_fold: int):
@@ -135,6 +143,14 @@ class PotentialState:
         self.label_counts: list[dict[int, int] | None] = [
             dict.fromkeys((y, *g.adj[y]), 1) for y in range(n)
         ]
+        self.touchers: dict[int, set[int]] = {}
+        # with C empty, y's key is its degree plus itself as under-dominated;
+        # a key never exceeds a_cnt + d_q + d_m <= 3 * degree + 1
+        self.key: list[int | None] = [len(a) + 1 for a in g.adj]
+        self.buckets: list[set[int]] = [set() for _ in range(3 * g.max_degree + 2)]
+        for y, k in enumerate(self.key):
+            self.buckets[k].add(y)
+        self.dirty: set[int] = set()
 
     @property
     def parts(self) -> int:
@@ -150,9 +166,27 @@ class PotentialState:
         if self.in_c[y]:
             raise ValueError(f"vertex {y} is already in C")
         self.in_c[y] = True
+        self.buckets[self.key[y]].discard(y)
+        self.key[y] = None
         self._cover(y)
         self._merge_components(y)
         self._merge_parts(y)
+
+    def rebucket(self) -> None:
+        """Move every vertex marked in `dirty` to the bucket of its key."""
+        in_c, hits, counts, d_m, key, buckets = (
+            self.in_c, self.hits, self.label_counts, self.d_m, self.key, self.buckets
+        )
+        # the marks may name members of C, which have no bucket
+        for y in self.dirty:
+            if in_c[y]:
+                continue
+            k = len(hits[y]) + len(counts[y]) - 1 + d_m[y]
+            if k != key[y]:
+                buckets[key[y]].discard(y)
+                buckets[k].add(y)
+                key[y] = k
+        self.dirty.clear()
 
     def _cover(self, y: int) -> None:
         # d_m[u] counts u itself while cnt[u] < m_fold, and each outside
@@ -160,12 +194,14 @@ class PotentialState:
         # count crosses m_fold - 2 -> m_fold - 1 or m_fold - 1 -> m_fold, or
         # where such a neighbor joins C
         adj, in_c, cnt, d_m, m = self.g.adj, self.in_c, self.cnt, self.d_m, self.m_fold
+        dirty = self.dirty
         if cnt[y] < m:
             self.under -= 1
             if cnt[y] == m - 1:
                 for u in adj[y]:
                     if not in_c[u]:
                         d_m[u] -= 1
+                dirty.update(adj[y])
         for w in adj[y]:
             c = cnt[w] = cnt[w] + 1
             if in_c[w]:
@@ -173,6 +209,7 @@ class PotentialState:
             if c == m:
                 self.under -= 1
                 d_m[w] -= 1
+                dirty.add(w)
                 step = -1
             elif c == m - 1:
                 step = 1
@@ -181,9 +218,11 @@ class PotentialState:
             for u in adj[w]:
                 if not in_c[u]:
                     d_m[u] += step
+            dirty.update(adj[w])
 
     def _merge_components(self, y: int) -> None:
         adj, comp, members, hits = self.g.adj, self.comp, self.comp_members, self.hits
+        touchers, dirty = self.touchers, self.dirty
         touched = hits[y]
         hits[y] = None
         if touched:
@@ -195,17 +234,22 @@ class PotentialState:
                 members[big].extend(moved)
                 for v in moved:
                     comp[v] = big
-                    for u in adj[v]:
-                        hu = hits[u]
-                        if hu is not None and k in hu:
-                            nbrs = hu.pop(k)
-                            if big in hu:
-                                hu[big].extend(nbrs)
-                            else:
-                                hu[big] = nbrs
+                for u in touchers.pop(k):
+                    hu = hits[u]
+                    if hu is None:
+                        continue  # y itself
+                    nbrs = hu.pop(k)
+                    if big in hu:
+                        hu[big].extend(nbrs)
+                        dirty.add(u)  # u touches one component fewer
+                    else:
+                        hu[big] = nbrs
+                        touchers[big].add(u)
+            touchers[big].discard(y)
         else:
             big = y  # ids are founding members of C, so y is free
             members[big] = []
+            touchers[big] = set()
         comp[y] = big
         members[big].append(y)
         for u in adj[y]:
@@ -215,10 +259,13 @@ class PotentialState:
                     hu[big].append(y)
                 else:
                     hu[big] = [y]
+                    touchers[big].add(u)
+                    dirty.add(u)
 
     def _merge_parts(self, y: int) -> None:
         # every edge at y is now kept, so the parts met by N[y] become one
         adj, label, members, counts = self.g.adj, self.label, self.label_members, self.label_counts
+        dirty = self.dirty
         met = counts[y]
         counts[y] = None
         big = max(met, key=lambda k: len(members[k]))
@@ -229,6 +276,8 @@ class PotentialState:
             members[big].extend(moved)
             for v in moved:
                 label[v] = big
+                dirty.add(v)
+                dirty.update(adj[v])
                 # v lies in N[u] exactly for u in N[v]
                 for u in (v, *adj[v]):
                     lu = counts[u]
@@ -250,15 +299,17 @@ def _recount(g: Graph, c_set: set) -> tuple[list[int], int]:
     root = list(range(g.n))
     q = g.n
     for v in c_set:
+        # every merge below hangs a root under v's root, so it stays a root
+        a = v
+        while root[a] != a:
+            root[a] = a = root[root[a]]
         for w in g.adj[v]:
             cnt[w] += 1
-            a, b = v, w
-            while root[a] != a:
-                root[a] = a = root[root[a]]
+            b = w
             while root[b] != b:
                 root[b] = b = root[root[b]]
             if a != b:
-                root[a] = b
+                root[b] = a
                 q -= 1
     return cnt, q
 
@@ -273,11 +324,17 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     `OnlineBlockForest` fed every chosen vertex keeps the split counts of
     G[C]: a candidate's exact worst-deletion term comes from those counts,
     the forest's `pieces_hit`, and the components ranked by their largest
-    split.  A cheap lower bound on that term first prunes candidates that
-    cannot beat the current best.  Ties go to the smallest vertex id.  Every
-    iteration recomputes each potential term from scratch, with one
-    low-link pass over G[C] for the worst-deletion term, and checks it
-    against the state, the forest and the tracked value.
+    split.  A cheap bound on the gain prunes candidates that cannot beat the
+    current best, and ties go to the smallest vertex id.
+
+    With C empty every vertex is looked at.  Afterwards a candidate that
+    does not touch the top component (the one holding the largest split)
+    gains at most its state key minus one, so each iteration looks at the
+    top component's touchers first, then at the key buckets by falling key
+    in id order, and stops at the first bucket whose key cannot beat the
+    best gain found.  Every iteration recomputes each potential term from
+    scratch, with one low-link pass over G[C] for the worst-deletion term,
+    and checks it against the state, the forest and the tracked value.
     """
     _require_biconnected_host(g)
     n = g.n
@@ -286,6 +343,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     in_c, cnt, d_ms, hits_of, labels_of = (
         state.in_c, state.cnt, state.d_m, state.hits, state.label_counts
     )
+    buckets, touchers = state.buckets, state.touchers
     forest = OnlineBlockForest(g)
     split = forest.split
     c_set: set[int] = set()
@@ -294,21 +352,68 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     # the gains of the chosen vertices
     tracked = (0, n, n)
 
+    def look(y):
+        # y's gain, unless its bound shows it cannot beat the best so far:
+        # a larger gain, or an equal one at a smaller id
+        nonlocal best, best_total, best_y
+        hits = hits_of[y]
+        d_m = d_ms[y]
+        d_q = len(labels_of[y]) - 1
+        a_cnt = len(hits)
+        p_new = p - a_cnt + 1
+        unaff_max = 0
+        for k in comp_order:
+            if k not in hits:
+                unaff_max = comp_max[k]
+                break
+        # optimistic d_worst bound: the merged component splits at least
+        # once unless it is the lone new vertex
+        floor_new = p_new - 1 + max(unaff_max, 1 if a_cnt else 0)
+        bound = (phat - floor_new) + d_q + d_m
+        if bound < best_total or (bound == best_total and y > best_y):
+            return
+
+        # worst split of the merged component K' = y + touched components.
+        # y splits K' into its a_cnt components.  For x in a touched K,
+        # the pieces of K - x holding a neighbor of y fuse through y, so
+        # x splits K' into split(x) - h(x) + 1 pieces, h(x) the number of
+        # fused pieces: 0 only for the lone neighbor of y in K, 1 for
+        # every non-cut vertex otherwise, and read off the block
+        # forest for cut vertices.
+        top = max(unaff_max, a_cnt)
+        for k, nbrs in hits.items():
+            if len(nbrs) == 1 and split[nbrs[0]] + 1 > top:
+                top = split[nbrs[0]] + 1
+            for x in comp_cuts[k]:
+                sx = split[x]
+                if sx <= top:
+                    break  # no later cut vertex of K can beat top
+                h = forest.pieces_hit(x, nbrs)
+                if sx + 1 - h > top:
+                    top = sx + 1 - h
+        phat_new = p_new - 1 + top
+        total = (phat - phat_new) + d_q + d_m
+        if total > best_total or (total == best_total and y < best_y):
+            best_total = total
+            best_y = y
+            best = (phat - phat_new, d_q, d_m)
+
     for _ in range(2 * n):
         if c_set:
             # from-scratch split counts: the independent source of the
             # worst-deletion term and the check on the forest
             fresh, p = _checked_splits(g, forest, c_set)
-            phat = p - 1 + max(fresh.values())
+            phat = p - 1 + max(fresh)
+            # a component's largest split is 1, or 0 for a lone vertex,
+            # unless one of its cut vertices raises it
             comp = state.comp
-            comp_max = dict.fromkeys(state.comp_members, 0)
+            comp_max = {k: 1 if len(m) > 1 else 0 for k, m in state.comp_members.items()}
             comp_cuts: dict[int, list[int]] = {k: [] for k in comp_max}
-            for v in c_set:
-                k, sv = comp[v], split[v]
-                if sv > comp_max[k]:
-                    comp_max[k] = sv
-                if sv >= 2:
-                    comp_cuts[k].append(v)
+            for v in [v for v in c_set if fresh[v] >= 2]:
+                k = comp[v]
+                comp_cuts[k].append(v)
+                if fresh[v] > comp_max[k]:
+                    comp_max[k] = fresh[v]
             for cuts in comp_cuts.values():
                 cuts.sort(key=split.__getitem__, reverse=True)
             # components by falling max split: the largest untouched one is
@@ -321,7 +426,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
 
         # from-scratch cross-check of every term
         recount, q = _recount(g, c_set)
-        under = sum(1 for v in range(n) if not in_c[v] and recount[v] < m_fold)
+        under = sum(1 for ic, r in zip(in_c, recount) if not ic and r < m_fold)
         direct = (phat, q, under)
         if direct != tracked or recount != cnt or (
             (p, q, under) != (state.parts, state.closed_parts, state.under)
@@ -336,56 +441,35 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         if c_set and sum(direct) < 2:
             raise RuntimeError("potential fell below its floor of 2")
 
-        best_total = 0
-        best = None
-        for y in range(n):
-            if in_c[y]:
-                continue
-            hits = hits_of[y]
-            d_m = d_ms[y]
-            d_q = len(labels_of[y]) - 1
-            a_cnt = len(hits)
-            p_new = p - a_cnt + 1
-            unaff_max = 0
-            for k in comp_order:
-                if k not in hits:
-                    unaff_max = comp_max[k]
+        # the best gain, its vertex and its terms; with no best yet, a zero
+        # gain never wins the tie
+        best_total, best_y, best = 0, -1, None
+        if c_set:
+            top_touchers = touchers[comp_order[0]]
+            for y in sorted(top_touchers):
+                look(y)
+            # every other candidate's bound is at most its key minus one
+            for key in reversed(range(len(buckets))):
+                if key - 1 < best_total:
                     break
-            # optimistic d_worst bound: the merged component splits at least
-            # once unless it is the lone new vertex
-            floor_new = p_new - 1 + max(unaff_max, 1 if a_cnt else 0)
-            if (phat - floor_new) + d_q + d_m <= best_total:
-                continue
+                if not buckets[key]:
+                    continue
+                for y in sorted(buckets[key]):
+                    if key - 1 < best_total or (key - 1 == best_total and y > best_y):
+                        break
+                    if y not in top_touchers:
+                        look(y)
+        else:
+            for y in range(n):
+                look(y)
 
-            # worst split of the merged component K' = y + touched components.
-            # y splits K' into its a_cnt components.  For x in a touched K,
-            # the pieces of K - x holding a neighbor of y fuse through y, so
-            # x splits K' into split(x) - h(x) + 1 pieces, h(x) the number of
-            # fused pieces: 0 only for the lone neighbor of y in K, 1 for
-            # every non-cut vertex otherwise, and read off the block
-            # forest for cut vertices.
-            top = max(unaff_max, a_cnt)
-            for k, nbrs in hits.items():
-                if len(nbrs) == 1 and split[nbrs[0]] + 1 > top:
-                    top = split[nbrs[0]] + 1
-                for x in comp_cuts[k]:
-                    sx = split[x]
-                    if sx <= top:
-                        break  # no later cut vertex of K can beat top
-                    h = forest.pieces_hit(x, nbrs)
-                    if sx + 1 - h > top:
-                        top = sx + 1 - h
-            phat_new = p_new - 1 + top
-            total = (phat - phat_new) + d_q + d_m
-            if total > best_total:
-                best_total = total
-                best = (y, phat - phat_new, d_q, d_m)
-
-        if best is None:
+        if best_y < 0:
             break
-        y, d_phat, d_q, d_m = best
+        y = best_y
+        d_phat, d_q, d_m = best
         color = _color_from_count(cnt[y], m_fold)
         state.add(y)
+        state.rebucket()
         forest.add(y)
         c_set.add(y)
         tracked = (tracked[0] - d_phat, tracked[1] - d_q, tracked[2] - d_m)

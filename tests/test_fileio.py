@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 
@@ -119,3 +120,25 @@ def test_write_edge_list_round_trips_labels(tmp_path):
     assert sorted(labels) == ["n1", "n2", "n3", "n4"]
     want = {frozenset(("n" + str(u + 1), "n" + str(v + 1))) for u, v in g.edges()}
     assert _label_edges(back, labels) == want
+
+
+def test_hash_label_is_rejected(tmp_path):
+    # "#b c" would be read as a comment, silently losing an edge
+    path = tmp_path / "hash.edges"
+    path.write_text("3 3\na #b\n#b c\nc a\n")
+    with pytest.raises(ValueError, match=r"hash\.edges:2: label '#b'"):
+        read_edge_list(str(path))
+    out = tmp_path / "hash_out.edges"
+    write_edge_list(str(out), new_graph(3, cycle_edges(3)), labels=("a", "#b", "c"))
+    with pytest.raises(ValueError, match="starts with '#'"):
+        read_edge_list(str(out))
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    labels = ('a"b', "c\\", 'd\\"e')
+    text = format_dot(new_graph(3, cycle_edges(3)), {0}, labels=labels)
+    assert '"a\\"b"' in text and '"c\\\\"' in text and '"d\\\\\\"e"' in text
+    # every quoted ID on the node lines reads back as its label
+    ids = re.findall(r'"((?:[^"\\]|\\.)*)"', text)
+    assert [re.sub(r"\\(.)", r"\1", i) for i in ids[:3]] == list(labels)
+    assert len(ids) == 3 + 2 * 3

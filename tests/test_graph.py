@@ -20,7 +20,7 @@ from cds_forge import (
     split_counts,
 )
 from cds_forge.checks import validate_ear_decomposition
-from cds_forge.graph import OnlineBlockForest
+from cds_forge.graph import OnlineBlockForest, _dfs_splits
 
 from conftest import P8_EDGES, complete_edges, cycle_edges
 
@@ -296,3 +296,105 @@ def test_online_block_forest_matches_kernels(case):
     assert built.split == forest.split and built.count == forest.count
     with pytest.raises(ValueError, match="already in C"):
         forest.add(order[0])
+
+
+def _dfs_splits_reference(g, s, want_blocks):
+    """The dict-based low-link pass the list kernel replaced, kept as its
+    reference: split is a dict over s."""
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    split = dict.fromkeys(s, 0)
+    comp_count = 0
+    timer = 0
+    edge_stack: list[tuple[int, int]] = []
+    blocks: list[frozenset[int]] | None = [] if want_blocks else None
+
+    def nbrs(v):
+        return iter([w for w in g.adj[v] if w in s])
+
+    for root in sorted(s):
+        if root in disc:
+            continue
+        comp_count += 1
+        disc[root] = low[root] = timer
+        timer += 1
+        isolated = True
+        stack = [(root, nbrs(root))]
+        while stack:
+            v, it = stack[-1]
+            w = next(it, None)
+            if w is None:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if u == root:
+                        split[u] += 1
+                    elif low[v] >= disc[u]:
+                        split[u] += 1
+                    if blocks is not None and low[v] >= disc[u]:
+                        block = {u, v}
+                        while edge_stack and edge_stack[-1] != (u, v):
+                            a, b = edge_stack.pop()
+                            block.add(a)
+                            block.add(b)
+                        if edge_stack:
+                            edge_stack.pop()
+                        blocks.append(frozenset(block))
+                continue
+            if w == parent.get(v):
+                continue
+            if w in disc:
+                if disc[w] < disc[v]:
+                    low[v] = min(low[v], disc[w])
+                    if blocks is not None:
+                        edge_stack.append((v, w))
+            else:
+                isolated = False
+                disc[w] = low[w] = timer
+                timer += 1
+                parent[w] = v
+                if blocks is not None:
+                    edge_stack.append((v, w))
+                stack.append((w, nbrs(w)))
+        if isolated:
+            split[root] = 0
+            if blocks is not None:
+                blocks.append(frozenset([root]))
+    for v in s:
+        if v in parent:
+            split[v] += 1
+    return split, comp_count, blocks
+
+
+@st.composite
+def host_and_subset(draw):
+    """Any graph on up to 20 vertices, often disconnected and with isolated
+    vertices, and any subset of its vertices, the empty one included."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    s = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    return new_graph(n, edges), frozenset(s)
+
+
+@pytest.mark.parametrize("want_blocks", [False, True])
+# two triangles, a lone vertex outside s and a lone vertex inside it
+@example(
+    case=(
+        new_graph(8, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        frozenset({0, 1, 2, 3, 4, 5, 7}),
+    )
+)
+@example(case=(new_graph(3, [(0, 1), (1, 2)]), frozenset()))
+@given(case=host_and_subset())
+def test_dfs_splits_matches_reference(case, want_blocks):
+    g, s = case
+    split, comp_count, blocks = _dfs_splits(g, s, want_blocks)
+    ref_split, ref_count, ref_blocks = _dfs_splits_reference(g, s, want_blocks)
+    assert len(split) == g.n
+    assert {v: split[v] for v in s} == ref_split
+    assert all(split[v] == 0 for v in range(g.n) if v not in s)
+    assert comp_count == ref_count
+    assert blocks == ref_blocks

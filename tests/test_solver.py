@@ -214,6 +214,10 @@ def test_phase1_steps_match_naive_argmax(seed, n, m_fold):
             g = generate(GenSpec(kind="hpath", n=n, seed=seed))
     else:
         g = generate(GenSpec(kind="hpath", n=n, seed=seed, extra=seed % 4))
+    _assert_steps_match_naive_argmax(g, m_fold)
+
+
+def _assert_steps_match_naive_argmax(g, m_fold):
     chosen, trace = greedy_phase1(g, SolveConfig(m_fold=m_fold))
     c: set[int] = set()
     for step in trace + [None]:
@@ -232,6 +236,29 @@ def test_phase1_steps_match_naive_argmax(seed, n, m_fold):
         assert step.gain.total == best
         c.add(step.chosen[0])
     assert c == chosen
+
+
+@pytest.mark.parametrize("m_fold", [2, 3])
+@pytest.mark.parametrize(
+    "host",
+    [f"grid-{r}x{k}" for r in range(3, 6) for k in range(r, 6)]
+    + [f"ladder-{k}" for k in (3, 5, 8)]
+    + [f"wheel-{n}" for n in range(9, 13)]
+    + [f"cycle-{n}" for n in (5, 8, 11)],
+)
+def test_phase1_steps_match_naive_argmax_on_structured_hosts(host, m_fold):
+    # regular hosts give many candidates the same drop, so the smallest-id
+    # rule decides most steps
+    kind, size = host.split("-")
+    if kind == "grid":
+        g = _grid_graph(*map(int, size.split("x")))
+    elif kind == "ladder":
+        g = _grid_graph(2, int(size))
+    elif kind == "wheel":
+        g = _wheel_graph(int(size))
+    else:
+        g = new_graph(int(size), cycle_edges(int(size)))
+    _assert_steps_match_naive_argmax(g, m_fold)
 
 
 def _random_graph(rng, n):
@@ -258,14 +285,29 @@ def _partition(ids):
 def test_potential_state_matches_definitions(seed, n, m_fold):
     # arbitrary insertion orders, not only greedy ones: after every add the
     # two partitions, the coverage counts and every candidate's local terms
-    # agree with the from-scratch kernels and the naive potential
+    # agree with the from-scratch kernels and the naive potential, and after
+    # the rebucket the keys, the buckets and the touchers match the terms
     rng = random.Random(seed)
     g = _random_graph(rng, n)
     state = PotentialState(g, m_fold)
     c: set[int] = set()
     for y in rng.sample(range(n), rng.randint(1, n)):
         state.add(y)
+        state.rebucket()
         c.add(y)
+        outside = [u for u in range(n) if u not in c]
+        for u in range(n):
+            if u in c:
+                assert state.key[u] is None
+            else:
+                assert state.key[u] == (
+                    len(state.hits[u]) + len(state.label_counts[u]) - 1 + state.d_m[u]
+                )
+        for k, bucket in enumerate(state.buckets):
+            assert bucket == {u for u in outside if state.key[u] == k}
+        assert set(state.touchers) == set(state.comp_members)
+        for k, ys in state.touchers.items():
+            assert ys == {u for u in outside if k in state.hits[u]}
         comps = induced_components(g, c)
         assert _partition({v: state.comp[v] for v in c}) == set(comps.members)
         assert state.parts == comps.count
