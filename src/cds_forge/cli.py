@@ -200,7 +200,11 @@ def cmd_gen(args) -> int:
         return 1
     stats = f"n={g.n} edges={g.edge_count} max_degree={g.max_degree}"
     if args.out:
-        write_edge_list(args.out, g)
+        try:
+            write_edge_list(args.out, g)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(stats)
     else:
         sys.stdout.write(format_edge_list(g))

@@ -1,9 +1,9 @@
 """Edge-list files and DOT export.
 
 The edge-list format: first significant line is "n m", then m lines "u v".
-Labels are whitespace-free tokens that do not start with '#' and are mapped
-to dense internal ids in order of first appearance; lines starting with '#'
-are comments.
+Labels are distinct, non-empty, whitespace-free tokens that do not start
+with '#' and are mapped to dense internal ids in order of first appearance;
+lines starting with '#' are comments.  The writer refuses any other label.
 """
 
 from __future__ import annotations
@@ -77,9 +77,28 @@ def read_edge_list(path: str):
     return g, tuple(labels)
 
 
+def _check_labels(labels) -> None:
+    """Raise ValueError naming the first label `read_edge_list` could not
+    read back: an empty one, one holding whitespace or starting with '#',
+    or a repeat."""
+    seen = set()
+    for label in map(str, labels):
+        if label.split() != [label]:
+            raise ValueError(f"label {label!r} is empty or holds whitespace")
+        if label.startswith("#"):
+            raise ValueError(f"label {label!r} starts with '#'")
+        if label in seen:
+            raise ValueError(f"label {label!r} appears twice")
+        seen.add(label)
+
+
 def format_edge_list(g: Graph, labels=None, comments=()) -> str:
+    """The edge-list text of g; raises ValueError on a label the reader
+    would reject."""
     if labels is None:
         labels = tuple(str(v) for v in range(g.n))
+    else:
+        _check_labels(labels)
     out = io.StringIO()
     for comment in comments:
         out.write(f"# {comment}\n")
@@ -90,8 +109,9 @@ def format_edge_list(g: Graph, labels=None, comments=()) -> str:
 
 
 def write_edge_list(path: str, g: Graph, labels=None, comments=()) -> None:
+    text = format_edge_list(g, labels, comments)  # a bad label leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g, labels, comments))
+        fh.write(text)
 
 
 _DOT_STYLE = {

@@ -100,13 +100,14 @@ class PotentialState:
     """What each outside candidate's joining would change, kept up to date as
     phase 1 grows C one vertex at a time.
 
-    C only grows, so the components of G[C] and the parts of the spanning
-    subgraph (the edges with an end in C) only ever merge.  `add` merges the
-    touched pieces of either partition into the largest one and relabels
-    only the members of the smaller ones, so a whole run costs O(m log n)
-    updates.  For every outside vertex y it keeps:
+    `forest`, an `OnlineBlockForest` that `add` feeds first, is the one owner
+    of C and of the components of G[C] (`in_c`, `comp`, `members`, `count`).
+    C only grows, so the parts of the spanning subgraph (the edges with an
+    end in C) only ever merge: `add` merges those met by N[y] into the
+    largest and relabels only the smaller ones' members, so a whole run
+    costs O(m log n) updates.  For every outside vertex y it keeps:
 
-    - `hits[y]`: {component of G[C]: y's neighbors in it}, so y touches
+    - `hits[y]`: {forest component id: y's neighbors in it}, so y touches
       `len(hits[y])` components;
     - `label_counts[y]`: {part label of the spanning subgraph: vertices of
       N[y] carrying it}, so y's joining merges `len(label_counts[y])` parts
@@ -117,9 +118,8 @@ class PotentialState:
     - `key[y]`: `len(hits[y]) + len(label_counts[y]) - 1 + d_m[y]`, the
       local part of the phase-1 pruning bound, and y's place in
       `buckets[key[y]]`, a set per key value.  Every step that changes one
-      of the three terms marks y in `dirty`, and `rebucket` moves the marked
-      vertices to their new buckets; until then `key` and `buckets` describe
-      the set before the marks.
+      of the three terms marks y in `dirty`, and the end of `add` moves the
+      marked vertices to their new buckets.
 
     It also keeps `touchers[k]`, the outside vertices with a neighbor in
     component k.  The `hits`, `label_counts` and `key` entries of members
@@ -131,12 +131,11 @@ class PotentialState:
         n = g.n
         self.g = g
         self.m_fold = m_fold
-        self.in_c = [False] * n
+        self.forest = OnlineBlockForest(g)
+        self.in_c = self.forest.in_c
         self.cnt = [0] * n  # neighbors in C, for every vertex
         self.under = n  # outside vertices with cnt < m_fold
         self.d_m = [1] * n
-        self.comp = [-1] * n  # component of G[C], members of C only
-        self.comp_members: dict[int, list[int]] = {}
         self.hits: list[dict[int, list[int]] | None] = [{} for _ in range(n)]
         self.label = list(range(n))  # part of the spanning subgraph
         self.label_members: dict[int, list[int]] = {v: [v] for v in range(n)}
@@ -153,39 +152,30 @@ class PotentialState:
         self.dirty: set[int] = set()
 
     @property
-    def parts(self) -> int:
-        """Components of G[C]."""
-        return len(self.comp_members)
-
-    @property
     def closed_parts(self) -> int:
         """Components of the spanning subgraph of C."""
         return len(self.label_members)
 
     def add(self, y: int) -> None:
-        if self.in_c[y]:
-            raise ValueError(f"vertex {y} is already in C")
-        self.in_c[y] = True
-        self.buckets[self.key[y]].discard(y)
-        self.key[y] = None
-        self._cover(y)
-        self._merge_components(y)
-        self._merge_parts(y)
-
-    def rebucket(self) -> None:
-        """Move every vertex marked in `dirty` to the bucket of its key."""
+        self.forest.add(y)  # raises, changing nothing, if y is already in C
         in_c, hits, counts, d_m, key, buckets = (
             self.in_c, self.hits, self.label_counts, self.d_m, self.key, self.buckets
         )
-        # the marks may name members of C, which have no bucket
-        for y in self.dirty:
-            if in_c[y]:
+        buckets[key[y]].discard(y)
+        key[y] = None
+        self._cover(y)
+        self._merge_components(y)
+        self._merge_parts(y)
+        # move every vertex marked in `dirty` to the bucket of its key; the
+        # marks may name members of C, which have no bucket
+        for u in self.dirty:
+            if in_c[u]:
                 continue
-            k = len(hits[y]) + len(counts[y]) - 1 + d_m[y]
-            if k != key[y]:
-                buckets[key[y]].discard(y)
-                buckets[k].add(y)
-                key[y] = k
+            k = len(hits[u]) + len(counts[u]) - 1 + d_m[u]
+            if k != key[u]:
+                buckets[key[u]].discard(u)
+                buckets[k].add(u)
+                key[u] = k
         self.dirty.clear()
 
     def _cover(self, y: int) -> None:
@@ -221,19 +211,17 @@ class PotentialState:
             dirty.update(adj[w])
 
     def _merge_components(self, y: int) -> None:
-        adj, comp, members, hits = self.g.adj, self.comp, self.comp_members, self.hits
-        touchers, dirty = self.touchers, self.dirty
+        # the forest has merged y's touched components into one; its first
+        # link hangs y's lone tree below a touched one, so the merged id is
+        # one of the touched ids, or y's own when y touches none
+        adj, hits, touchers, dirty = self.g.adj, self.hits, self.touchers, self.dirty
         touched = hits[y]
         hits[y] = None
+        big = self.forest.comp[y]
         if touched:
-            big = max(touched, key=lambda k: len(members[k]))
             for k in touched:
                 if k == big:
                     continue
-                moved = members.pop(k)
-                members[big].extend(moved)
-                for v in moved:
-                    comp[v] = big
                 for u in touchers.pop(k):
                     hu = hits[u]
                     if hu is None:
@@ -247,11 +235,7 @@ class PotentialState:
                         touchers[big].add(u)
             touchers[big].discard(y)
         else:
-            big = y  # ids are founding members of C, so y is free
-            members[big] = []
             touchers[big] = set()
-        comp[y] = big
-        members[big].append(y)
         for u in adj[y]:
             hu = hits[u]
             if hu is not None:
@@ -317,15 +301,16 @@ def _recount(g: Graph, c_set: set) -> tuple[list[int], int]:
 def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     """Run the greedy until no candidate still lowers the potential.
 
-    Returns (chosen set, trace steps).  A `PotentialState` keeps, for every
-    outside candidate, the components of G[C] it touches, the parts of the
-    spanning subgraph it would merge and the under-dominated vertices it
-    would cover, so those terms of its gain are read in O(1).  An
-    `OnlineBlockForest` fed every chosen vertex keeps the split counts of
-    G[C]: a candidate's exact worst-deletion term comes from those counts,
-    the forest's `pieces_hit`, and the components ranked by their largest
-    split.  A cheap bound on the gain prunes candidates that cannot beat the
-    current best, and ties go to the smallest vertex id.
+    Returns (chosen set, trace steps).  Each pick goes to `state.add` and to
+    `c_set`, the independent input of the from-scratch check.  A
+    `PotentialState` keeps, for every outside candidate, the components of
+    G[C] it touches, the parts of the spanning subgraph it would merge and
+    the under-dominated vertices it would cover, so those terms of its gain
+    are read in O(1).  The state's `OnlineBlockForest` keeps the components
+    and split counts of G[C]: a candidate's exact worst-deletion term comes
+    from those counts, the forest's `pieces_hit`, and the components ranked
+    by their largest split.  A cheap bound on the gain prunes candidates
+    that cannot beat the current best, and ties go to the smallest vertex id.
 
     With C empty every vertex is looked at.  Afterwards a candidate that
     does not touch the top component (the one holding the largest split)
@@ -343,9 +328,8 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     in_c, cnt, d_ms, hits_of, labels_of = (
         state.in_c, state.cnt, state.d_m, state.hits, state.label_counts
     )
-    buckets, touchers = state.buckets, state.touchers
-    forest = OnlineBlockForest(g)
-    split = forest.split
+    buckets, touchers, forest = state.buckets, state.touchers, state.forest
+    split, comp = forest.split, forest.comp
     c_set: set[int] = set()
     trace: list[TraceStep] = []
     # worst-deletion, closed-part and under-dominated terms, tracked through
@@ -406,8 +390,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
             phat = p - 1 + max(fresh)
             # a component's largest split is 1, or 0 for a lone vertex,
             # unless one of its cut vertices raises it
-            comp = state.comp
-            comp_max = {k: 1 if len(m) > 1 else 0 for k, m in state.comp_members.items()}
+            comp_max = {k: 1 if len(m) > 1 else 0 for k, m in forest.members.items()}
             comp_cuts: dict[int, list[int]] = {k: [] for k in comp_max}
             for v in [v for v in c_set if fresh[v] >= 2]:
                 k = comp[v]
@@ -428,15 +411,14 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         recount, q = _recount(g, c_set)
         under = sum(1 for ic, r in zip(in_c, recount) if not ic and r < m_fold)
         direct = (phat, q, under)
-        if direct != tracked or recount != cnt or (
-            (p, q, under) != (state.parts, state.closed_parts, state.under)
+        if direct != tracked or recount != cnt or (q, under) != (
+            state.closed_parts, state.under
         ):
             raise RuntimeError(
                 "potential bookkeeping diverged: recomputed (worst-deletion, "
                 f"closed, under-dominated) = {direct}, tracked {tracked}, state "
-                f"(components {state.parts} vs {p}, closed {state.closed_parts}, "
-                f"under-dominated {state.under}), coverage counts "
-                f"{'match' if recount == cnt else 'differ'}"
+                f"(closed {state.closed_parts}, under-dominated {state.under}), "
+                f"coverage counts {'match' if recount == cnt else 'differ'}"
             )
         if c_set and sum(direct) < 2:
             raise RuntimeError("potential fell below its floor of 2")
@@ -469,8 +451,6 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         d_phat, d_q, d_m = best
         color = _color_from_count(cnt[y], m_fold)
         state.add(y)
-        state.rebucket()
-        forest.add(y)
         c_set.add(y)
         tracked = (tracked[0] - d_phat, tracked[1] - d_q, tracked[2] - d_m)
         if cfg.record_trace:

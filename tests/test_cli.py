@@ -239,8 +239,9 @@ def test_bench_rejects_bad_m_fold():
         ("solve", "{p8}", "--json", "{missing}/x.json"),
         ("solve", "{p8}", "--dot", "{missing}/x.dot"),
         ("bench", "--count", "2", "--csv", "{missing}/x.csv"),
+        ("gen", "--n", "10", "--out", "{missing}/x.txt"),
     ],
-    ids=["solve-json", "solve-dot", "bench-csv"],
+    ids=["solve-json", "solve-dot", "bench-csv", "gen-out"],
 )
 def test_unwritable_output_path(p8_path, tmp_path, args):
     missing = tmp_path / "missing"

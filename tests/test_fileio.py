@@ -128,10 +128,31 @@ def test_hash_label_is_rejected(tmp_path):
     path.write_text("3 3\na #b\n#b c\nc a\n")
     with pytest.raises(ValueError, match=r"hash\.edges:2: label '#b'"):
         read_edge_list(str(path))
-    out = tmp_path / "hash_out.edges"
-    write_edge_list(str(out), new_graph(3, cycle_edges(3)), labels=("a", "#b", "c"))
-    with pytest.raises(ValueError, match="starts with '#'"):
-        read_edge_list(str(out))
+
+
+@pytest.mark.parametrize(
+    "labels, bad",
+    [
+        (("a b", "c", "d"), "'a b'"),
+        (("a", "#b", "d"), "'#b'"),
+        (("a", "", "d"), "''"),
+        (("a", "a", "d"), "'a'"),
+    ],
+    ids=["whitespace", "hash", "empty", "duplicate"],
+)
+def test_writer_rejects_labels_the_reader_rejects(tmp_path, labels, bad):
+    g = new_graph(3, cycle_edges(3))
+    # the reader rejects the text the writer would have produced
+    path = tmp_path / "raw.edges"
+    path.write_text("3 3\n" + "".join(f"{labels[u]} {labels[v]}\n" for u, v in g.edges()))
+    with pytest.raises(ValueError):
+        read_edge_list(str(path))
+    with pytest.raises(ValueError, match=f"label {re.escape(bad)}"):
+        format_edge_list(g, labels)
+    out = tmp_path / "out.edges"
+    with pytest.raises(ValueError, match=f"label {re.escape(bad)}"):
+        write_edge_list(str(out), g, labels)
+    assert not out.exists()
 
 
 def test_dot_escapes_quotes_and_backslashes():

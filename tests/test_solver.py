@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from cds_forge import (
     induced_components,
     naive_snapshot,
     new_graph,
+    ratio_report,
     restricted_shortest_path,
     snapshot,
     solve,
@@ -124,6 +126,30 @@ def test_cycle_six(c6):
     assert sol.fallback_used
     assert sol.certificate.valid
     assert len(sol.nodes) == exact_min_cds(c6).theta
+
+
+WORST_KNOWN_EDGES = [
+    (0, 1), (0, 2), (0, 4), (0, 6), (0, 8), (1, 2), (1, 3), (1, 4), (1, 8), (2, 3), (2, 6),
+    (3, 4), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (5, 6), (5, 8), (6, 8), (7, 8),
+]
+
+
+def test_worst_known_ratio_at_m_fold_2():
+    # the largest greedy/theta ratio known at m_fold 2, found by a hill-climb
+    # over edge flips: phase 1 stalls on three non-adjacent vertices and
+    # phase 2 adds five more, while three vertices suffice
+    g = new_graph(9, WORST_KNOWN_EDGES)
+    sol = solve(g)
+    assert sol.certificate.valid
+    assert sol.phase1_nodes == {0, 3, 5}
+    assert len(sol.nodes) == 8
+    res = exact_min_cds(g)
+    assert res.theta == 3
+    assert res.optimum == {3, 6, 8}
+    report = ratio_report(g.n, g.max_degree, len(sol.nodes), res.theta)
+    assert g.max_degree == 6
+    assert report.ratio == pytest.approx(8 / 3)
+    assert report.bound_asymptotic == pytest.approx(5.079, abs=5e-4)
 
 
 def test_wheel_ends_valid_after_phase1():
@@ -284,16 +310,16 @@ def _partition(ids):
 )
 def test_potential_state_matches_definitions(seed, n, m_fold):
     # arbitrary insertion orders, not only greedy ones: after every add the
-    # two partitions, the coverage counts and every candidate's local terms
-    # agree with the from-scratch kernels and the naive potential, and after
-    # the rebucket the keys, the buckets and the touchers match the terms
+    # forest's components, the parts, the coverage counts and every
+    # candidate's local terms agree with the from-scratch kernels and the
+    # naive potential, and the keys, the buckets and the touchers match the
+    # terms
     rng = random.Random(seed)
     g = _random_graph(rng, n)
     state = PotentialState(g, m_fold)
     c: set[int] = set()
     for y in rng.sample(range(n), rng.randint(1, n)):
         state.add(y)
-        state.rebucket()
         c.add(y)
         outside = [u for u in range(n) if u not in c]
         for u in range(n):
@@ -305,12 +331,12 @@ def test_potential_state_matches_definitions(seed, n, m_fold):
                 )
         for k, bucket in enumerate(state.buckets):
             assert bucket == {u for u in outside if state.key[u] == k}
-        assert set(state.touchers) == set(state.comp_members)
+        assert set(state.touchers) == set(state.forest.members)
         for k, ys in state.touchers.items():
             assert ys == {u for u in outside if k in state.hits[u]}
         comps = induced_components(g, c)
-        assert _partition({v: state.comp[v] for v in c}) == set(comps.members)
-        assert state.parts == comps.count
+        assert _partition({v: state.forest.comp[v] for v in c}) == set(comps.members)
+        assert state.forest.count == comps.count
         assert _partition(dict(enumerate(state.label))) == set(
             closed_components(g, c).members
         )
@@ -330,6 +356,18 @@ def test_potential_state_matches_definitions(seed, n, m_fold):
                 base.closed_parts - after.closed_parts,
                 base.under_dominated - after.under_dominated,
             )
+
+
+def test_potential_state_repeated_add_changes_nothing(p8):
+    state = PotentialState(p8, 2)
+    for y in (0, 3, 4):
+        state.add(y)
+    before = copy.deepcopy(
+        (state.cnt, state.key, state.buckets, state.touchers, state.forest.split)
+    )
+    with pytest.raises(ValueError, match="already in C"):
+        state.add(3)
+    assert (state.cnt, state.key, state.buckets, state.touchers, state.forest.split) == before
 
 
 @pytest.mark.parametrize(
