@@ -267,6 +267,9 @@ def _parse_n_range(text: str):
 
 
 def cmd_bench(args) -> int:
+    if args.count < 0:
+        print(f"error: --count must be at least 0, got {args.count}", file=sys.stderr)
+        return 1
     try:
         cfg = SolveConfig(m_fold=args.m_fold, record_trace=False)
     except ValueError as exc:
@@ -305,6 +308,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        # a suite that checks nothing must not pass
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 1
     suite = SUITES[args.suite]
     rep = suite(args.samples, args.seed, dump_dir=args.dump_dir)
     print(

@@ -93,11 +93,13 @@ def _check_labels(labels) -> None:
 
 
 def format_edge_list(g: Graph, labels=None, comments=()) -> str:
-    """The edge-list text of g; raises ValueError on a label the reader
-    would reject."""
+    """The edge-list text of g; raises ValueError unless `labels` holds one
+    label per vertex, each of which the reader accepts."""
     if labels is None:
         labels = tuple(str(v) for v in range(g.n))
     else:
+        if len(labels) != g.n:
+            raise ValueError(f"expected {g.n} labels, one per vertex, got {len(labels)}")
         _check_labels(labels)
     out = io.StringIO()
     for comment in comments:

@@ -223,13 +223,17 @@ class OnlineBlockForest:
     An edge inside a tree closes a cycle, so the blocks on the tree path
     between its ends condense into one.  `split[v]` is the number of blocks
     holding v, which is the number of pieces v's component falls into once
-    v is deleted (0 for a singleton, as in `_dfs_splits`).  `pieces_hit`
-    names those pieces by climbing the tree.  Block ids, roots and component
+    v is deleted (0 for a singleton, as in `_dfs_splits`).  `cuts` maps each
+    component id to its vertices of split >= 2, for the components that
+    have one.  `pieces_hit` names those pieces by climbing the tree, and
+    `small_piece_touchers` searches them.  Block ids, roots and component
     ids depend on the insertion order; no query exposes them.  Both greedy
     phases grow C through one of these forests.
     """
 
-    __slots__ = ("g", "in_c", "split", "comp", "members", "vparent", "bparent", "bunion", "_cuts")
+    __slots__ = (
+        "g", "in_c", "split", "comp", "members", "cuts", "vparent", "bparent", "bunion", "_heap"
+    )
 
     def __init__(self, g: Graph, s=()):
         n = g.n
@@ -238,10 +242,11 @@ class OnlineBlockForest:
         self.split = [0] * n  # blocks holding v, for members of C
         self.comp = [-1] * n  # component id, the founding member of the component
         self.members: dict[int, list[int]] = {}
+        self.cuts: dict[int, set[int]] = {}
         self.vparent = [-1] * n  # parent block of a vertex, -1 at a root
         self.bparent: list[int] = []  # parent vertex of a block
         self.bunion: list[int] = []  # union-find over block ids
-        self._cuts: list[int] = []  # min-heap of cut vertices, stale entries popped lazily
+        self._heap: list[int] = []  # min-heap of cut vertices, stale entries popped lazily
         for v in sorted(_check_subset(g, s)):
             self.add(v)
 
@@ -256,32 +261,55 @@ class OnlineBlockForest:
 
     def smallest_cut(self) -> int | None:
         """The smallest vertex with split >= 2, or None."""
-        cuts, split = self._cuts, self.split
-        while cuts and split[cuts[0]] < 2:
-            heappop(cuts)
-        return cuts[0] if cuts else None
+        heap, split = self._heap, self.split
+        while heap and split[heap[0]] < 2:
+            heappop(heap)
+        return heap[0] if heap else None
 
     def pieces_hit(self, x: int, vertices) -> int:
         """Pieces of (component of x) - x that contain a vertex of
         `vertices`; every vertex must lie in x's component, x itself is
         ignored."""
+        return len({self._piece(x, u) for u in vertices if u != x})
+
+    def _piece(self, x: int, u: int) -> int:
+        # a climb from u that reaches x names the child block it came
+        # through; one that reaches the root lies beyond x's parent block
         vparent, bparent, find = self.vparent, self.bparent, self._find
-        hit = set()
-        for u in vertices:
-            if u == x:
-                continue
-            # a climb that reaches x names the child block it came through;
-            # one that reaches the root lies beyond x's parent block
-            piece = -1
-            v = u
-            while vparent[v] >= 0:
-                block = find(vparent[v])
-                v = bparent[block]
-                if v == x:
-                    piece = block
-                    break
-            hit.add(piece)
-        return len(hit)
+        v = u
+        while vparent[v] >= 0:
+            block = find(vparent[v])
+            v = bparent[block]
+            if v == x:
+                return block
+        return -1
+
+    def small_piece_touchers(self, x: int) -> set[int]:
+        """Outside vertices next to the pieces of (component of x) - x that
+        a lock-step search finishes first (Even & Shiloach, "An on-line
+        edge-deletion problem", J. ACM 1981).  Each round expands one vertex
+        of every piece still growing, and the search stops when at most one
+        is, so it costs about the pieces' volume without the largest.  An
+        outside vertex next to two pieces is next to a finished one."""
+        adj, in_c = self.g.adj, self.in_c
+        pieces: dict[int, list[int]] = {}
+        for u in adj[x]:
+            if in_c[u]:
+                pieces.setdefault(self._piece(x, u), []).append(u)
+        seen = {x}.union(*pieces.values())
+        live = [[us, 0] for us in pieces.values()]  # reached vertices, next to expand
+        done: list[list[int]] = []
+        while len(live) > 1:
+            for search in live:
+                reached, i = search
+                for w in adj[reached[i]]:
+                    if in_c[w] and w not in seen:
+                        seen.add(w)
+                        reached.append(w)
+                search[1] = i + 1
+            done += [reached for reached, i in live if i == len(reached)]
+            live = [search for search in live if search[1] < len(search[0])]
+        return {w for reached in done for v in reached for w in adj[v] if not in_c[w]}
 
     def add(self, y: int) -> None:
         if self.in_c[y]:
@@ -306,7 +334,8 @@ class OnlineBlockForest:
     def _bump(self, v: int) -> None:
         self.split[v] += 1
         if self.split[v] == 2:
-            heappush(self._cuts, v)
+            heappush(self._heap, v)
+            self.cuts.setdefault(self.comp[v], set()).add(v)
 
     def _link(self, a: int, b: int) -> None:
         # hang the smaller tree, re-rooted at its end of the edge, below the
@@ -320,6 +349,9 @@ class OnlineBlockForest:
         self.bunion.append(block)
         self.vparent[a] = block
         big = comp[b]
+        moved_cuts = self.cuts.pop(comp[a], None)
+        if moved_cuts:
+            self.cuts.setdefault(big, set()).update(moved_cuts)
         moved = members.pop(comp[a])
         for v in moved:
             comp[v] = big
@@ -375,9 +407,15 @@ class OnlineBlockForest:
         if len(blocks) == 1:
             return  # y and w already share a block
         # each path vertex other than y and w held two of the merged blocks
+        split, cuts = self.split, self.cuts
         for v in path:
             if v < n and v != y and v != w:
-                self.split[v] -= 1
+                split[v] -= 1
+                if split[v] == 1:
+                    k = self.comp[v]
+                    cuts[k].remove(v)
+                    if not cuts[k]:
+                        del cuts[k]
         top = blocks[0]
         for block in blocks:
             self.bunion[block] = top

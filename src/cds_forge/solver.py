@@ -306,20 +306,23 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     `PotentialState` keeps, for every outside candidate, the components of
     G[C] it touches, the parts of the spanning subgraph it would merge and
     the under-dominated vertices it would cover, so those terms of its gain
-    are read in O(1).  The state's `OnlineBlockForest` keeps the components
-    and split counts of G[C]: a candidate's exact worst-deletion term comes
-    from those counts, the forest's `pieces_hit`, and the components ranked
-    by their largest split.  A cheap bound on the gain prunes candidates
-    that cannot beat the current best, and ties go to the smallest vertex id.
+    are read in O(1).  The state's `OnlineBlockForest` keeps the components,
+    split counts and cut vertices of G[C]: a candidate's exact
+    worst-deletion term comes from those counts, the forest's `pieces_hit`,
+    and the components with a cut vertex ranked by their largest split.  A
+    cheap bound on the gain prunes candidates that cannot beat the current
+    best, and ties go to the smallest vertex id.
 
-    With C empty every vertex is looked at.  Afterwards a candidate that
-    does not touch the top component (the one holding the largest split)
-    gains at most its state key minus one, so each iteration looks at the
-    top component's touchers first, then at the key buckets by falling key
-    in id order, and stops at the first bucket whose key cannot beat the
-    best gain found.  Every iteration recomputes each potential term from
-    scratch, with one low-link pass over G[C] for the worst-deletion term,
-    and checks it against the state, the forest and the tracked value.
+    With C empty every vertex is looked at.  Afterwards let x* be a vertex
+    of the largest split M.  When M >= 2, a candidate meeting at most one
+    piece of (component of x*) - x* gains at most its state key minus one,
+    and the others are among `forest.small_piece_touchers(x*)`, so each
+    iteration looks at those first; when M <= 1 every candidate is so
+    bounded.  Then it looks at the rest by falling key in id order, and
+    stops at the first bucket whose key cannot beat the best gain found.
+    Every iteration recomputes each potential term from scratch, with one
+    low-link pass over G[C] for the worst-deletion term, and checks it
+    against the state, the forest and the tracked value.
     """
     _require_biconnected_host(g)
     n = g.n
@@ -328,8 +331,8 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     in_c, cnt, d_ms, hits_of, labels_of = (
         state.in_c, state.cnt, state.d_m, state.hits, state.label_counts
     )
-    buckets, touchers, forest = state.buckets, state.touchers, state.forest
-    split, comp = forest.split, forest.comp
+    buckets, forest = state.buckets, state.forest
+    split = forest.split
     c_set: set[int] = set()
     trace: list[TraceStep] = []
     # worst-deletion, closed-part and under-dominated terms, tracked through
@@ -345,7 +348,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         d_q = len(labels_of[y]) - 1
         a_cnt = len(hits)
         p_new = p - a_cnt + 1
-        unaff_max = 0
+        unaff_max = rest_max
         for k in comp_order:
             if k not in hits:
                 unaff_max = comp_max[k]
@@ -368,7 +371,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         for k, nbrs in hits.items():
             if len(nbrs) == 1 and split[nbrs[0]] + 1 > top:
                 top = split[nbrs[0]] + 1
-            for x in comp_cuts[k]:
+            for x in comp_cuts.get(k, ()):
                 sx = split[x]
                 if sx <= top:
                     break  # no later cut vertex of K can beat top
@@ -388,24 +391,23 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
             # worst-deletion term and the check on the forest
             fresh, p = _checked_splits(g, forest, c_set)
             phat = p - 1 + max(fresh)
-            # a component's largest split is 1, or 0 for a lone vertex,
-            # unless one of its cut vertices raises it
-            comp_max = {k: 1 if len(m) > 1 else 0 for k, m in forest.members.items()}
-            comp_cuts: dict[int, list[int]] = {k: [] for k in comp_max}
-            for v in [v for v in c_set if fresh[v] >= 2]:
-                k = comp[v]
-                comp_cuts[k].append(v)
-                if fresh[v] > comp_max[k]:
-                    comp_max[k] = fresh[v]
-            for cuts in comp_cuts.values():
-                cuts.sort(key=split.__getitem__, reverse=True)
-            # components by falling max split: the largest untouched one is
-            # found after skipping at most the touched ones
+            # the cut vertices of each component that has one, by falling
+            # split, and those components by falling max split; any other
+            # component's max split is 1, or 0 for a lone vertex
+            comp_cuts = {
+                k: sorted(cuts, key=split.__getitem__, reverse=True)
+                for k, cuts in forest.cuts.items()
+            }
+            comp_max = {k: split[cuts[0]] for k, cuts in comp_cuts.items()}
             comp_order = sorted(comp_max, key=comp_max.__getitem__, reverse=True)
+            # a look falls back on this when y touches every component with
+            # a cut vertex: the max split of the others, 1 unless all are
+            # lone vertices.  It can overstate only when y touches a
+            # component, and then every use takes its max with 1 or a_cnt.
+            rest_max = 1 if len(c_set) > p else 0
         else:
-            p = 0
+            p = phat = rest_max = 0
             comp_order = []
-            phat = 0
 
         # from-scratch cross-check of every term
         recount, q = _recount(g, c_set)
@@ -427,8 +429,14 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         # gain never wins the tie
         best_total, best_y, best = 0, -1, None
         if c_set:
-            top_touchers = touchers[comp_order[0]]
-            for y in sorted(top_touchers):
+            # with max split M >= 2 at x*, a candidate meeting at most one
+            # piece of (component of x*) - x* leaves x* split M ways, so its
+            # total is at most its key minus one; the others are next to a
+            # piece the search finishes
+            looked = set()
+            if comp_order:
+                looked = forest.small_piece_touchers(comp_cuts[comp_order[0]][0])
+            for y in sorted(looked):
                 look(y)
             # every other candidate's bound is at most its key minus one
             for key in reversed(range(len(buckets))):
@@ -439,7 +447,7 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
                 for y in sorted(buckets[key]):
                     if key - 1 < best_total or (key - 1 == best_total and y > best_y):
                         break
-                    if y not in top_touchers:
+                    if y not in looked:
                         look(y)
         else:
             for y in range(n):
@@ -477,23 +485,6 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     return frozenset(c_set), trace
 
 
-def _find_repair_vertex(g: Graph, c: set, pieces) -> int | None:
-    """Smallest outside vertex adjacent to at least two pieces."""
-    ids = pieces.ids
-    for y in range(g.n):
-        if y in c:
-            continue
-        first = None
-        for w in g.adj[y]:
-            k = ids.get(w)
-            if k is None or k == first:
-                continue
-            if first is not None:
-                return y
-            first = k
-    return None
-
-
 def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
     """Grow c until it is one biconnected, m_fold-dominating component.
 
@@ -507,9 +498,13 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
     expects to find.
 
     c only grows, so an `OnlineBlockForest` built once from the starting set
-    and fed every added vertex answers the component count, the smallest
-    cut vertex and that vertex's component.  Its split counts and component
-    count are checked against one low-link pass over the final set.
+    and fed every added vertex answers the component count and the
+    smallest cut vertex x.  The repair vertex is the smallest outside
+    vertex with neighbors in two pieces of (component of x) - x: the
+    forest's `small_piece_touchers(x)` holds every such vertex, and
+    `pieces_hit` tells them apart, so only the `repair-path` fallback
+    splits the component.  The forest's split counts and component count
+    are checked against one low-link pass over the final set.
     """
     c = set(_check_subset(g, c))
     if not c:
@@ -544,14 +539,24 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
 
         x = forest.smallest_cut()
         if x is not None:
-            comp = frozenset(forest.component(x))
-            pieces = induced_components(g, comp - {x})
-            y = _find_repair_vertex(g, c, pieces)
+            # the smallest outside vertex next to two pieces of (component
+            # of x) - x; each such vertex is next to a small piece
+            k = forest.comp[x]  # forest.comp is -1 outside c
+            y = next(
+                (
+                    y
+                    for y in sorted(forest.small_piece_touchers(x))
+                    if forest.pieces_hit(x, [w for w in g.adj[y] if forest.comp[w] == k]) >= 2
+                ),
+                None,
+            )
             if y is not None:
                 grow((y,), f"repair at {x}")
                 continue
             # no single outside vertex spans two pieces; route the smallest
             # piece to the rest of the component, relaying anywhere outside it
+            comp = frozenset(forest.component(x))
+            pieces = induced_components(g, comp - {x})
             path = restricted_shortest_path(
                 g,
                 pieces.members[0],

@@ -234,6 +234,23 @@ def test_bench_rejects_bad_m_fold():
 
 
 @pytest.mark.parametrize(
+    "args, want",
+    [
+        ("check --suite ear-equiv --samples -3", "--samples must be at least 1, got -3"),
+        ("check --suite phat-oracle --samples 0", "--samples must be at least 1, got 0"),
+        ("bench --count -2", "--count must be at least 0, got -2"),
+    ],
+    ids=["check-negative", "check-zero", "bench-negative"],
+)
+def test_counts_that_run_nothing_are_rejected(tmp_path, args, want):
+    # `bench --count 0` stays valid: it writes the bare header (test_bench_empty)
+    res = run_cli(*args.split(), *(["--dump-dir", str(tmp_path)] if "check" in args else []))
+    assert res.returncode == 1
+    assert res.stderr == f"error: {want}\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ("solve", "{p8}", "--json", "{missing}/x.json"),

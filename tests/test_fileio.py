@@ -155,6 +155,18 @@ def test_writer_rejects_labels_the_reader_rejects(tmp_path, labels, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("labels", [("a", "b"), ("a", "b", "c", "d")], ids=["short", "long"])
+def test_writer_rejects_a_label_count_other_than_n(tmp_path, labels):
+    g = new_graph(3, cycle_edges(3))
+    want = f"expected 3 labels, one per vertex, got {len(labels)}"
+    with pytest.raises(ValueError, match=want):
+        format_edge_list(g, labels)
+    out = tmp_path / "out.edges"
+    with pytest.raises(ValueError, match=want):
+        write_edge_list(str(out), g, labels)
+    assert not out.exists()
+
+
 def test_dot_escapes_quotes_and_backslashes():
     labels = ('a"b', "c\\", 'd\\"e')
     text = format_dot(new_graph(3, cycle_edges(3)), {0}, labels=labels)

@@ -270,9 +270,9 @@ REROOT_CASE = (
 @example(REROOT_CASE)
 @given(host_and_insertion_order())
 def test_online_block_forest_matches_kernels(case):
-    # after every insertion: the split counts, the components and the
-    # smallest cut vertex agree with the from-scratch kernels, and the cut
-    # vertices with networkx
+    # after every insertion: the split counts, the components, the smallest
+    # cut vertex and the cut vertices of each component agree with the
+    # from-scratch kernels, and the cut vertices with networkx
     g, order = case
     forest = OnlineBlockForest(g)
     c: set[int] = set()
@@ -287,6 +287,10 @@ def test_online_block_forest_matches_kernels(case):
             assert frozenset(forest.component(v)) == parts.members[parts.ids[v]]
         cuts = sorted(v for v in c if split[v] >= 2)
         assert forest.smallest_cut() == (cuts[0] if cuts else None)
+        by_comp: dict[int, set[int]] = {}
+        for v in cuts:
+            by_comp.setdefault(forest.comp[v], set()).add(v)
+        assert forest.cuts == by_comp
         if nx is not None:
             h = nx.Graph()
             h.add_nodes_from(c)
@@ -398,3 +402,26 @@ def test_dfs_splits_matches_reference(case, want_blocks):
     assert all(split[v] == 0 for v in range(g.n) if v not in s)
     assert comp_count == ref_count
     assert blocks == ref_blocks
+
+
+@example(REROOT_CASE)
+@given(host_and_insertion_order())
+def test_small_piece_touchers_hold_every_two_piece_vertex(case):
+    # against the pieces of K - x from scratch: the search returns every
+    # outside vertex with neighbors in two pieces, and only outside
+    # neighbors of K - x; with fewer than two pieces it searches nothing
+    g, order = case
+    forest = OnlineBlockForest(g)
+    for y in order:
+        forest.add(y)
+    c = set(order)
+    parts = induced_components(g, c)
+    for x in c:
+        rest = parts.members[parts.ids[x]] - {x}
+        pieces = induced_components(g, rest).members
+        got = forest.small_piece_touchers(x)
+        outside = [y for y in range(g.n) if y not in c]
+        two = {y for y in outside if sum(1 for p in pieces if p.intersection(g.adj[y])) >= 2}
+        assert two <= got <= {y for y in outside if rest.intersection(g.adj[y])}
+        if len(pieces) < 2:
+            assert got == set()

@@ -1,3 +1,4 @@
+import collections
 import copy
 import random
 
@@ -25,7 +26,8 @@ from cds_forge import (
     verify_certificate,
 )
 from cds_forge.graph import OnlineBlockForest
-from cds_forge.solver import InfeasibleError, PotentialState, _find_repair_vertex, phase2_merge
+import cds_forge.solver
+from cds_forge.solver import InfeasibleError, PotentialState, phase2_merge
 
 from conftest import complete_edges, cycle_edges
 
@@ -370,6 +372,34 @@ def test_potential_state_repeated_add_changes_nothing(p8):
     assert (state.cnt, state.key, state.buckets, state.touchers, state.forest.split) == before
 
 
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=4, max_value=16),
+    st.sampled_from([2, 3, 4]),
+)
+def test_candidates_off_the_small_pieces_gain_at_most_key_minus_one(seed, n, m_fold):
+    # the lemma behind phase 1's first pass: with max split M >= 2 at x, a
+    # candidate that small_piece_touchers(x) leaves out meets at most one
+    # piece of (component of x) - x, so x still splits M ways and the exact
+    # drop is at most key - 1; with M <= 1 that holds for every candidate.
+    # A random tree plus chords gives G[C] many cut vertices.
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n // 2))]
+    g = new_graph(n, edges)
+    state = PotentialState(g, m_fold)
+    c = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    for y in c:
+        state.add(y)
+    split = state.forest.split
+    base = naive_snapshot(g, c, m_fold).total
+    tops = [x for x in c if split[x] == max(split) >= 2]
+    for looked in [state.forest.small_piece_touchers(x) for x in tops] or [set()]:
+        for y in range(n):
+            if y not in c and y not in looked:
+                assert base - naive_snapshot(g, c | {y}, m_fold).total <= state.key[y] - 1
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -432,7 +462,19 @@ def test_find_repair_vertex_matches_piece_scan(seed, n):
     x = rng.choice(cuts or sorted(c))
     parts = induced_components(g, c)
     pieces = induced_components(g, parts.members[parts.ids[x]] - {x})
-    assert _find_repair_vertex(g, c, pieces) == _repair_vertex_by_scan(g, c, pieces)
+    # phase 2's rule: the smallest small-piece toucher of x meeting two
+    # pieces, which the forest names by climbing
+    forest = OnlineBlockForest(g, c)
+    k = forest.comp[x]
+    by_forest = min(
+        (
+            y
+            for y in forest.small_piece_touchers(x)
+            if forest.pieces_hit(x, [w for w in g.adj[y] if forest.comp[w] == k]) >= 2
+        ),
+        default=None,
+    )
+    assert by_forest == _repair_vertex_by_scan(g, c, pieces)
 
 
 def test_phase2_cross_check_catches_a_corrupted_split(p8, monkeypatch):
@@ -450,6 +492,28 @@ def test_phase2_cross_check_catches_a_corrupted_split(p8, monkeypatch):
     monkeypatch.setattr(OnlineBlockForest, "__init__", corrupted_init)
     with pytest.raises(RuntimeError, match="block forest diverged"):
         solve(p8)
+
+
+def test_repair_builds_no_components(monkeypatch):
+    # phase 2 builds the components of G[c] only in rounds with more than
+    # one component (pair-merge, path-connect) and for the repair-path
+    # fallback; a repair reads the forest.  solve adds one call, on the
+    # phase-1 set.
+    calls = []
+    kernel = cds_forge.solver.induced_components
+    monkeypatch.setattr(
+        cds_forge.solver, "induced_components", lambda g, s: calls.append(s) or kernel(g, s)
+    )
+    g = generate(GenSpec(kind="hpath", n=300, seed=1))
+    c1, _ = greedy_phase1(g, SolveConfig(record_trace=False))
+    _, steps, _ = phase2_merge(g, c1)
+    kinds = collections.Counter(step.note.split()[0] for step in steps)
+    assert kinds["repair"] > 0
+    built = kinds["repair-path"] + kinds["pair-merge"] + kinds["path-connect"]
+    assert len(calls) == built
+    calls.clear()
+    solve(g, SolveConfig(record_trace=False))
+    assert len(calls) == built + 1 and calls[0] == c1
 
 
 def _phase2_reference(g, c, m_fold):
@@ -477,7 +541,7 @@ def _phase2_reference(g, c, m_fold):
             x = cuts[0]
             comp = parts.members[parts.ids[x]]
             pieces = induced_components(g, comp - {x})
-            y = _find_repair_vertex(g, c, pieces)
+            y = _repair_vertex_by_scan(g, c, pieces)
             if y is not None:
                 grow((y,), f"repair at {x}")
                 continue
