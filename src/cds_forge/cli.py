@@ -186,6 +186,9 @@ def cmd_exact(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if not args.radius >= 0:  # false for nan too
+        print(f"error: --radius must be at least 0 (0 = auto), got {args.radius:g}", file=sys.stderr)
+        return 1
     radius = 0.0
     if args.kind == "geometric":
         radius = args.radius if args.radius > 0 else default_radius(args.n)
@@ -270,6 +273,9 @@ def cmd_bench(args) -> int:
     if args.count < 0:
         print(f"error: --count must be at least 0, got {args.count}", file=sys.stderr)
         return 1
+    if not args.radius >= 0:  # false for nan too
+        print(f"error: --radius must be at least 0 (0 = auto), got {args.radius:g}", file=sys.stderr)
+        return 1
     try:
         cfg = SolveConfig(m_fold=args.m_fold, record_trace=False)
     except ValueError as exc:
@@ -313,7 +319,11 @@ def cmd_check(args) -> int:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 1
     suite = SUITES[args.suite]
-    rep = suite(args.samples, args.seed, dump_dir=args.dump_dir)
+    try:
+        rep = suite(args.samples, args.seed, dump_dir=args.dump_dir)
+    except OSError as exc:  # a counterexample that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(
         f"suite={rep.name} samples={rep.samples} passes={rep.passes} "
         f"failures={rep.failures} advisory={'yes' if rep.advisory else 'no'}"

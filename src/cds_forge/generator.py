@@ -35,6 +35,8 @@ class GenSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 3:
             raise ValueError("need n >= 3")
+        if self.extra < 0:
+            raise ValueError(f"extra must be at least 0, got {self.extra}")
         if self.kind == "geometric" and not 0.0 < self.radius <= math.sqrt(2.0):
             raise ValueError("geometric radius must be in (0, sqrt(2)]")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import Graph, _check_subset, closed_components, induced_components, split_counts
+from .graph import Graph, _check_subset, _dfs_splits
 
 
 class Color(Enum):
@@ -67,32 +67,46 @@ class PotentialSnapshot:
         ), "potential fields out of sync"
 
 
+def _recount(g: Graph, c, m_fold: int) -> tuple[list[int], int, int]:
+    """From scratch: every vertex's number of neighbors in c, the component
+    count of the spanning subgraph of c, as n minus the merges made by a
+    union-find over the edges with an end in c, and the outside vertices
+    with fewer than m_fold neighbors in c."""
+    cnt = [0] * g.n
+    root = list(range(g.n))
+    q = g.n
+    for v in c:
+        # every merge below hangs a root under v's root, so it stays a root
+        a = v
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        for w in g.adj[v]:
+            cnt[w] += 1
+            b = w
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[b] = a
+                q -= 1
+    under = sum(1 for r in cnt if r < m_fold) - sum(1 for v in c if cnt[v] < m_fold)
+    return cnt, q, under
+
+
 def snapshot(g: Graph, c, m_fold: int = 2) -> PotentialSnapshot:
+    """Every potential term of c from scratch: one low-link pass over G[c]
+    and one `_recount`."""
     c = _check_subset(g, c)
-    parts = induced_components(g, c).count
-    if c:
-        split = split_counts(g, c)
-        worst_split = max(split.values())
-        critical = min(v for v in c if split[v] == worst_split)
-        worst = parts - 1 + worst_split
-    else:
-        worst = 0
-        critical = None
-    q = closed_components(g, c).count
-    under = 0
-    for v in range(g.n):
-        if v in c:
-            continue
-        hits = sum(1 for w in g.adj[v] if w in c)
-        if hits < m_fold:
-            under += 1
+    split, parts, _ = _dfs_splits(g, c, want_blocks=False)
+    _, q, under = _recount(g, c, m_fold)
+    worst_split = max(split)
+    worst = parts - 1 + worst_split if c else 0
     return PotentialSnapshot(
         parts=parts,
         worst_deletion_parts=worst,
         closed_parts=q,
         under_dominated=under,
         total=worst + q + under,
-        critical_vertex=critical,
+        critical_vertex=min((v for v in c if split[v] == worst_split), default=None),
     )
 
 

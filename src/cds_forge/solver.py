@@ -1,10 +1,10 @@
 """Two-phase backbone construction.
 
 Phase 1 greedily adds the vertex with the largest potential drop until no
-candidate drops the potential any further; a candidate's drop is read off
-counters and an insert-only block forest that follow the set as it grows.
-Both phases grow the set through such a forest.  Phase 2
-welds the leftover pieces into one biconnected component: preferably by
+candidate drops the potential any further; a candidate's drop is read off a
+`PotentialState`, counters and an insert-only block forest that follow the
+set as it grows.  Phase 2 continues on the same state, and welds the
+leftover pieces into one biconnected component: preferably by
 adding two common outside neighbors of a component pair, with repair and
 shortest-path fallbacks for the configurations the greedy can actually
 leave behind (undersized components, cut vertices, component pairs without
@@ -14,6 +14,7 @@ a common neighbor pair).  Every fallback is recorded on the solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graph import (
     Graph,
@@ -21,11 +22,10 @@ from .graph import (
     _check_subset,
     _dfs_splits,
     induced_components,
-    is_biconnected,
     restricted_shortest_path,
-    split_counts,  # no longer called here; perfbench still hooks the name
+    split_counts,  # not called here, nor is snapshot: perfbench hooks both names
 )
-from .potential import GainBreakdown, _color_from_count, snapshot
+from .potential import GainBreakdown, _color_from_count, _recount, snapshot
 from .verify import Certificate, verify_certificate
 
 
@@ -82,29 +82,16 @@ def _require_biconnected_host(g: Graph) -> None:
         raise NotBiconnectedInputError(f"input graph has a cut vertex: {cuts[0]}")
 
 
-def _checked_splits(g: Graph, forest: OnlineBlockForest, c) -> tuple[list[int], int]:
-    """Split counts (a list over all n vertices, 0 outside c) and component
-    count of G[c] from one low-link pass, checked against the forest fed
-    the same vertices."""
-    split, comp_count, _ = _dfs_splits(g, c, want_blocks=False)
-    if comp_count != forest.count or split != forest.split:
-        wrong = [v for v in range(g.n) if forest.split[v] != split[v]]
-        raise RuntimeError(
-            f"block forest diverged: {forest.count} components, recomputed "
-            f"{comp_count}; split counts differ at {wrong[:5]}"
-        )
-    return split, comp_count
-
-
 class PotentialState:
     """What each outside candidate's joining would change, kept up to date as
-    phase 1 grows C one vertex at a time.
+    C grows one vertex at a time, from the first phase-1 pick to the last
+    phase-2 move.
 
     `forest`, an `OnlineBlockForest` that `add` feeds first, is the one owner
     of C and of the components of G[C] (`in_c`, `comp`, `members`, `count`).
     C only grows, so the parts of the spanning subgraph (the edges with an
     end in C) only ever merge: `add` merges those met by N[y] into the
-    largest and relabels only the smaller ones' members, so a whole run
+    largest and moves only the smaller ones' members, so a whole run
     costs O(m log n) updates.  For every outside vertex y it keeps:
 
     - `hits[y]`: {forest component id: y's neighbors in it}, so y touches
@@ -124,10 +111,11 @@ class PotentialState:
     It also keeps `touchers[k]`, the outside vertices with a neighbor in
     component k.  The `hits`, `label_counts` and `key` entries of members
     of C are None.  Component ids and part labels are arbitrary and no
-    result depends on them.
+    result depends on them.  The state starts from the vertices of `s`,
+    added in id order.
     """
 
-    def __init__(self, g: Graph, m_fold: int):
+    def __init__(self, g: Graph, m_fold: int, s=()):
         n = g.n
         self.g = g
         self.m_fold = m_fold
@@ -137,7 +125,7 @@ class PotentialState:
         self.under = n  # outside vertices with cnt < m_fold
         self.d_m = [1] * n
         self.hits: list[dict[int, list[int]] | None] = [{} for _ in range(n)]
-        self.label = list(range(n))  # part of the spanning subgraph
+        # part label of the spanning subgraph -> its vertices
         self.label_members: dict[int, list[int]] = {v: [v] for v in range(n)}
         self.label_counts: list[dict[int, int] | None] = [
             dict.fromkeys((y, *g.adj[y]), 1) for y in range(n)
@@ -150,6 +138,8 @@ class PotentialState:
         for y, k in enumerate(self.key):
             self.buckets[k].add(y)
         self.dirty: set[int] = set()
+        for v in sorted(_check_subset(g, s)):
+            self.add(v)
 
     @property
     def closed_parts(self) -> int:
@@ -248,8 +238,7 @@ class PotentialState:
 
     def _merge_parts(self, y: int) -> None:
         # every edge at y is now kept, so the parts met by N[y] become one
-        adj, label, members, counts = self.g.adj, self.label, self.label_members, self.label_counts
-        dirty = self.dirty
+        adj, members, counts, dirty = self.g.adj, self.label_members, self.label_counts, self.dirty
         met = counts[y]
         counts[y] = None
         big = max(met, key=lambda k: len(members[k]))
@@ -259,7 +248,6 @@ class PotentialState:
             moved = members.pop(k)
             members[big].extend(moved)
             for v in moved:
-                label[v] = big
                 dirty.add(v)
                 dirty.update(adj[v])
                 # v lies in N[u] exactly for u in N[v]
@@ -275,34 +263,33 @@ class PotentialState:
                     lu[big] = lu.get(big, 0) + 1
 
 
-def _recount(g: Graph, c_set: set) -> tuple[list[int], int]:
-    """From scratch: every vertex's number of neighbors in C, and the
-    component count of the spanning subgraph of C, as n minus the merges
-    made by a union-find over the edges with an end in C."""
-    cnt = [0] * g.n
-    root = list(range(g.n))
-    q = g.n
-    for v in c_set:
-        # every merge below hangs a root under v's root, so it stays a root
-        a = v
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        for w in g.adj[v]:
-            cnt[w] += 1
-            b = w
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            if a != b:
-                root[b] = a
-                q -= 1
-    return cnt, q
+def _checked_terms(g: Graph, state: PotentialState, c_set) -> tuple[int, int, int]:
+    """The potential's worst-deletion, closed-part and under-dominated terms
+    of the non-empty c_set, from one low-link pass and one `_recount`,
+    checked against the state and its forest, fed the same vertices."""
+    split, p, _ = _dfs_splits(g, c_set, want_blocks=False)
+    cnt, q, under = _recount(g, c_set, state.m_fold)
+    forest = state.forest
+    if p != forest.count or split != forest.split:
+        wrong = [v for v in range(g.n) if forest.split[v] != split[v]]
+        raise RuntimeError(
+            f"block forest diverged: {forest.count} components, recomputed "
+            f"{p}; split counts differ at {wrong[:5]}"
+        )
+    if cnt != state.cnt or (q, under) != (state.closed_parts, state.under):
+        raise RuntimeError(
+            f"potential bookkeeping diverged: recomputed (closed, under-dominated) = "
+            f"{(q, under)}, state {(state.closed_parts, state.under)}, coverage "
+            f"counts {'match' if cnt == state.cnt else 'differ'}"
+        )
+    return p - 1 + max(split), q, under
 
 
 def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     """Run the greedy until no candidate still lowers the potential.
 
     Returns (chosen set, trace steps).  Each pick goes to `state.add` and to
-    `c_set`, the independent input of the from-scratch check.  A
+    `c_set`, the independent input of the from-scratch check.  The
     `PotentialState` keeps, for every outside candidate, the components of
     G[C] it touches, the parts of the spanning subgraph it would merge and
     the under-dominated vertices it would cover, so those terms of its gain
@@ -320,17 +307,21 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
     iteration looks at those first; when M <= 1 every candidate is so
     bounded.  Then it looks at the rest by falling key in id order, and
     stops at the first bucket whose key cannot beat the best gain found.
-    Every iteration recomputes each potential term from scratch, with one
-    low-link pass over G[C] for the worst-deletion term, and checks it
-    against the state, the forest and the tracked value.
+    Every iteration after the first recomputes each potential term from
+    scratch with `_checked_terms`, and checks it against the state, the
+    forest and the value tracked through the gains.
     """
+    _, c, trace = _phase1(g, cfg)
+    return c, trace
+
+
+def _phase1(g: Graph, cfg: SolveConfig):
+    """`greedy_phase1`, returning (state, chosen set, trace steps)."""
     _require_biconnected_host(g)
     n = g.n
     m_fold = cfg.m_fold
     state = PotentialState(g, m_fold)
-    in_c, cnt, d_ms, hits_of, labels_of = (
-        state.in_c, state.cnt, state.d_m, state.hits, state.label_counts
-    )
+    cnt, d_ms, hits_of, labels_of = state.cnt, state.d_m, state.hits, state.label_counts
     buckets, forest = state.buckets, state.forest
     split = forest.split
     c_set: set[int] = set()
@@ -387,10 +378,15 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
 
     for _ in range(2 * n):
         if c_set:
-            # from-scratch split counts: the independent source of the
-            # worst-deletion term and the check on the forest
-            fresh, p = _checked_splits(g, forest, c_set)
-            phat = p - 1 + max(fresh)
+            direct = _checked_terms(g, state, c_set)
+            if direct != tracked:
+                raise RuntimeError(
+                    "potential bookkeeping diverged: recomputed (worst-deletion, "
+                    f"closed, under-dominated) = {direct}, tracked {tracked}"
+                )
+            if sum(direct) < 2:
+                raise RuntimeError("potential fell below its floor of 2")
+            p, phat = forest.count, direct[0]
             # the cut vertices of each component that has one, by falling
             # split, and those components by falling max split; any other
             # component's max split is 1, or 0 for a lone vertex
@@ -408,22 +404,6 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
         else:
             p = phat = rest_max = 0
             comp_order = []
-
-        # from-scratch cross-check of every term
-        recount, q = _recount(g, c_set)
-        under = sum(1 for ic, r in zip(in_c, recount) if not ic and r < m_fold)
-        direct = (phat, q, under)
-        if direct != tracked or recount != cnt or (q, under) != (
-            state.closed_parts, state.under
-        ):
-            raise RuntimeError(
-                "potential bookkeeping diverged: recomputed (worst-deletion, "
-                f"closed, under-dominated) = {direct}, tracked {tracked}, state "
-                f"(closed {state.closed_parts}, under-dominated {state.under}), "
-                f"coverage counts {'match' if recount == cnt else 'differ'}"
-            )
-        if c_set and sum(direct) < 2:
-            raise RuntimeError("potential fell below its floor of 2")
 
         # the best gain, its vertex and its terms; with no best yet, a zero
         # gain never wins the tie
@@ -470,19 +450,11 @@ def greedy_phase1(g: Graph, cfg: SolveConfig = SolveConfig()):
                 d_under_dominated=d_m,
                 total=best_total,
             )
-            trace.append(
-                TraceStep(
-                    phase=1,
-                    chosen=(y,),
-                    gain=breakdown,
-                    note="",
-                    f_after=sum(tracked),
-                )
-            )
+            trace.append(TraceStep(phase=1, chosen=(y,), gain=breakdown, note="", f_after=sum(tracked)))
     else:
         raise RuntimeError("phase 1 did not terminate within its step budget")
 
-    return frozenset(c_set), trace
+    return state, frozenset(c_set), trace
 
 
 def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
@@ -497,43 +469,51 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
     connecting path instead of the pair/repair vertex the construction
     expects to find.
 
-    c only grows, so an `OnlineBlockForest` built once from the starting set
-    and fed every added vertex answers the component count and the
-    smallest cut vertex x.  The repair vertex is the smallest outside
-    vertex with neighbors in two pieces of (component of x) - x: the
-    forest's `small_piece_touchers(x)` holds every such vertex, and
-    `pieces_hit` tells them apart, so only the `repair-path` fallback
-    splits the component.  The forest's split counts and component count
-    are checked against one low-link pass over the final set.
+    The moves grow a `PotentialState` built from c (`solve` continues on
+    phase 1's), which answers every rule and the trace's potential.  A
+    repair at the smallest cut vertex x adds the smallest outside vertex
+    next to two pieces of (component of x) - x, found among the forest's
+    `small_piece_touchers(x)` with `pieces_hit`.  The end checks every term
+    with `_checked_terms`.
     """
     c = set(_check_subset(g, c))
     if not c:
         raise ValueError("phase 2 needs a non-empty starting set")
+    return _phase2(g, PotentialState(g, cfg.m_fold, c), c, cfg)
+
+
+def _phase2(g: Graph, state: PotentialState, c, cfg: SolveConfig):
+    """`phase2_merge` on a state holding exactly the vertices of c."""
+    c = set(c)
     n = g.n
     m_fold = cfg.m_fold
+    forest, in_c, cnt, hits = state.forest, state.in_c, state.cnt, state.hits
     steps: list[TraceStep] = []
     fallback = False
-    forest = OnlineBlockForest(g, c)
+    # C and every coverage count only grow, so the smallest under-dominated
+    # outside vertex `lo` only moves up
+    lo = 0
 
     def grow(added, note):
         c.update(added)
         for v in added:
-            forest.add(v)
+            state.add(v)
         if not cfg.record_trace:
             return
+        # the worst deletion splits a cut vertex's component, or else a
+        # component of 2 or more vertices in two, or a lone vertex in none
+        top = max(
+            (forest.split[x] for cuts in forest.cuts.values() for x in cuts),
+            default=1 if len(c) > forest.count else 0,
+        )
+        f_after = forest.count - 1 + top + state.closed_parts + state.under
         steps.append(
-            TraceStep(
-                phase=2,
-                chosen=tuple(sorted(added)),
-                gain=None,
-                note=note,
-                f_after=snapshot(g, c, m_fold).total,
-            )
+            TraceStep(phase=2, chosen=tuple(sorted(added)), gain=None, note=note, f_after=f_after)
         )
 
     for _ in range(n + 2):
         if forest.count == 1 and len(c) < 3:
-            w = min(w for v in c for w in g.adj[v] if w not in c)
+            w = min(w for v in c for w in g.adj[v] if not in_c[w])
             grow((w,), "grow-small")
             continue
 
@@ -572,43 +552,33 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
 
         if forest.count > 1:
             # components ranked by smallest member name the pair-merge notes
-            parts = induced_components(g, c)
+            order = sorted(forest.members, key=lambda k: min(forest.members[k]))
+            rank = {k: i for i, k in enumerate(order)}
             pair_candidates: dict[tuple[int, int], list[int]] = {}
-            for y in range(n):
-                if y in c:
-                    continue
-                touched = sorted({parts.ids[w] for w in g.adj[y] if w in c})
-                for a in range(len(touched)):
-                    for b in range(a + 1, len(touched)):
-                        pair_candidates.setdefault((touched[a], touched[b]), []).append(y)
-            merged = False
-            for i, j in sorted(pair_candidates):
-                ys = pair_candidates[(i, j)]
-                if len(ys) >= 2:
-                    grow(ys[:2], f"pair-merge {i}+{j}")
-                    merged = True
-                    break
-            if merged:
+            for y, touched in enumerate(hits):
+                for pair in combinations(sorted(rank[k] for k in touched or ()), 2):
+                    pair_candidates.setdefault(pair, []).append(y)
+            pair = next((ij for ij in sorted(pair_candidates) if len(pair_candidates[ij]) >= 2), None)
+            if pair is not None:
+                grow(pair_candidates[pair][:2], f"pair-merge {pair[0]}+{pair[1]}")
                 continue
 
             # no component pair has two common outside neighbors; connect the
             # hop-closest pair through outside vertices
+            members = [forest.members[k] for k in order]
             outside = frozenset(range(n)) - c
             best = None
-            for i in range(parts.count):
-                for j in range(i + 1, parts.count):
-                    path = restricted_shortest_path(
-                        g, parts.members[i], parts.members[j], outside
-                    )
-                    if path and (best is None or len(path) < len(best)):
-                        best = path
+            for a, b in combinations(members, 2):
+                path = restricted_shortest_path(g, a, b, outside)
+                if path and (best is None or len(path) < len(best)):
+                    best = path
             if best is None:
                 # pairs only reach each other through other components
                 best = restricted_shortest_path(
                     g,
-                    parts.members[0],
-                    parts.members[1],
-                    frozenset(range(n)) - parts.members[0] - parts.members[1],
+                    members[0],
+                    members[1],
+                    frozenset(range(n)).difference(members[0], members[1]),
                 )
             added = [v for v in best if v not in c]
             if not added:
@@ -617,46 +587,45 @@ def phase2_merge(g: Graph, c, cfg: SolveConfig = SolveConfig()):
             grow(added, "path-connect")
             continue
 
-        deficient = [
-            v
-            for v in range(n)
-            if v not in c and sum(1 for w in g.adj[v] if w in c) < m_fold
-        ]
-        if deficient:
-            v = deficient[0]
-            outside_nb = [w for w in g.adj[v] if w not in c]
-            if outside_nb:
-                grow((outside_nb[0],), f"dominate {v}")
+        # the smallest under-dominated outside vertex, if any
+        while lo < n and (in_c[lo] or cnt[lo] >= m_fold):
+            lo += 1
+        if lo < n:
+            w = next((w for w in g.adj[lo] if not in_c[w]), None)
+            if w is not None:
+                grow((w,), f"dominate {lo}")
             else:
                 # every neighbor is already in; only membership can fix it
-                grow((v,), f"absorb {v}")
+                grow((lo,), f"absorb {lo}")
             continue
 
         break
     else:
         raise InfeasibleError("phase 2 exceeded its growth budget")
 
-    _checked_splits(g, forest, c)
+    _checked_terms(g, state, c)
     return frozenset(c), steps, fallback
 
 
 def solve(g: Graph, cfg: SolveConfig = SolveConfig()) -> Solution:
-    """Phase 1, phase 2, certificate."""
-    c1, trace1 = greedy_phase1(g, cfg)
-    parts = induced_components(g, c1)
-    snap1 = snapshot(g, c1, cfg.m_fold)
-    c2, trace2, fallback = phase2_merge(g, c1, cfg)
+    """Phase 1, phase 2 on phase 1's state, certificate."""
+    state, c1, trace1 = _phase1(g, cfg)
+    forest = state.forest
+    # phase 1's summary, read off the state before phase 2 grows it
+    sizes = tuple(sorted(len(m) for m in forest.members.values()))
+    t_phase1, under1, biconnected = (
+        forest.count, state.under, not forest.cuts and all(k >= 3 for k in sizes)
+    )
+    c2, trace2, fallback = _phase2(g, state, c1, cfg)
     cert = verify_certificate(g, c2, cfg.m_fold)
     return Solution(
         nodes=c2,
         trace=tuple(trace1) + tuple(trace2) if cfg.record_trace else (),
-        t_phase1=parts.count,
+        t_phase1=t_phase1,
         phase1_nodes=c1,
-        phase1_under_dominated=snap1.under_dominated,
-        phase1_all_components_biconnected=all(
-            is_biconnected(g, m) for m in parts.members
-        ),
-        phase1_component_sizes=tuple(sorted(len(m) for m in parts.members)),
+        phase1_under_dominated=under1,
+        phase1_all_components_biconnected=biconnected,
+        phase1_component_sizes=sizes,
         phase2_added=len(c2) - len(c1),
         fallback_used=fallback,
         certificate=cert,

@@ -257,8 +257,10 @@ def test_counts_that_run_nothing_are_rejected(tmp_path, args, want):
         ("solve", "{p8}", "--dot", "{missing}/x.dot"),
         ("bench", "--count", "2", "--csv", "{missing}/x.csv"),
         ("gen", "--n", "10", "--out", "{missing}/x.txt"),
+        # monotone finds counterexamples at 400 samples; a file cannot hold them
+        ("check", "--suite", "monotone", "--samples", "400", "--dump-dir", "{p8}/x"),
     ],
-    ids=["solve-json", "solve-dot", "bench-csv", "gen-out"],
+    ids=["solve-json", "solve-dot", "bench-csv", "gen-out", "check-dump-dir"],
 )
 def test_unwritable_output_path(p8_path, tmp_path, args):
     missing = tmp_path / "missing"
@@ -267,6 +269,23 @@ def test_unwritable_output_path(p8_path, tmp_path, args):
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stderr
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        ("gen --kind geometric --n 12 --radius -0.5", "--radius must be at least 0 (0 = auto), got -0.5"),
+        ("gen --n 12 --radius nan", "--radius must be at least 0 (0 = auto), got nan"),
+        ("gen --n 12 --extra -3", "extra must be at least 0, got -3"),
+        ("bench --count 2 --radius -1", "--radius must be at least 0 (0 = auto), got -1"),
+    ],
+    ids=["gen-radius", "gen-radius-nan", "gen-extra", "bench-radius"],
+)
+def test_negative_generator_options_are_rejected(args, want):
+    res = run_cli(*args.split())
+    assert res.returncode == 1
+    assert res.stderr == f"error: {want}\n"
+    assert res.stdout == ""
 
 
 def test_check_passing_suite(tmp_path):

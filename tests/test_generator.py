@@ -22,6 +22,8 @@ def test_spec_validation():
         GenSpec(kind="geometric", n=5, seed=0, radius=0.0)
     with pytest.raises(ValueError):
         GenSpec(kind="geometric", n=5, seed=0, radius=2.0)
+    with pytest.raises(ValueError, match="extra must be at least 0"):
+        GenSpec(kind="hpath", n=5, seed=0, extra=-1)
 
 
 def test_hpath_minimum_is_triangle():

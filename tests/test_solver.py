@@ -16,6 +16,7 @@ from cds_forge import (
     generate,
     greedy_phase1,
     induced_components,
+    is_biconnected,
     naive_snapshot,
     new_graph,
     ratio_report,
@@ -194,6 +195,16 @@ def test_budget_on_reference_solutions(p8, c4, k4, triangle):
             assert sol.phase2_added <= 2 * sol.t_phase1
 
 
+def _sample_host(seed, n, radius):
+    # a geometric host on every third seed, else hpath with a few chords
+    if seed % 3 == 0:
+        try:
+            return generate(GenSpec(kind="geometric", n=n, seed=seed, radius=radius))
+        except GenerationFailed:
+            return generate(GenSpec(kind="hpath", n=n, seed=seed))
+    return generate(GenSpec(kind="hpath", n=n, seed=seed, extra=seed % 4))
+
+
 @given(st.integers(min_value=0, max_value=4000))
 def test_solve_random_hosts(seed):
     # asserts only what the implementation guarantees: a valid certificate,
@@ -235,14 +246,25 @@ def test_phase1_steps_match_naive_argmax(seed, n, m_fold):
     # every phase-1 step takes the smallest id among the candidates with the
     # largest potential drop measured from the definitions, and the greedy
     # stops exactly when no candidate drops the potential
-    if seed % 3 == 0:
-        try:
-            g = generate(GenSpec(kind="geometric", n=n, seed=seed, radius=0.6))
-        except GenerationFailed:
-            g = generate(GenSpec(kind="hpath", n=n, seed=seed))
-    else:
-        g = generate(GenSpec(kind="hpath", n=n, seed=seed, extra=seed % 4))
-    _assert_steps_match_naive_argmax(g, m_fold)
+    _assert_steps_match_naive_argmax(_sample_host(seed, n, 0.6), m_fold)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=5, max_value=30),
+    st.sampled_from([2, 3, 4]),
+)
+def test_phase1_summary_matches_definitions(seed, n, m_fold):
+    # solve reads the phase-1 summary off the state before phase 2 grows it
+    g = _sample_host(seed, n, 0.5)
+    sol = solve(g, SolveConfig(m_fold=m_fold, record_trace=False))
+    parts = induced_components(g, sol.phase1_nodes)
+    assert sol.t_phase1 == parts.count
+    assert sol.phase1_component_sizes == tuple(sorted(len(m) for m in parts.members))
+    assert sol.phase1_under_dominated == snapshot(g, sol.phase1_nodes, m_fold).under_dominated
+    assert sol.phase1_all_components_biconnected == all(
+        is_biconnected(g, m) for m in parts.members
+    )
 
 
 def _assert_steps_match_naive_argmax(g, m_fold):
@@ -339,9 +361,8 @@ def test_potential_state_matches_definitions(seed, n, m_fold):
         comps = induced_components(g, c)
         assert _partition({v: state.forest.comp[v] for v in c}) == set(comps.members)
         assert state.forest.count == comps.count
-        assert _partition(dict(enumerate(state.label))) == set(
-            closed_components(g, c).members
-        )
+        labels = {v: k for k, vs in state.label_members.items() for v in vs}
+        assert _partition(labels) == set(closed_components(g, c).members)
         assert state.cnt == [sum(1 for w in g.adj[v] if w in c) for v in range(n)]
         base = naive_snapshot(g, c, m_fold)
         assert (state.closed_parts, state.under) == (base.closed_parts, base.under_dominated)
@@ -477,57 +498,100 @@ def test_find_repair_vertex_matches_piece_scan(seed, n):
     assert by_forest == _repair_vertex_by_scan(g, c, pieces)
 
 
+def _corrupt_phase2_state(monkeypatch, corrupt):
+    # corrupt the state phase2_merge builds from its starting set
+    init = PotentialState.__init__
+
+    def corrupted_init(state, g, m_fold, s=()):
+        init(state, g, m_fold, s)
+        if s:
+            corrupt(state)
+
+    monkeypatch.setattr(PotentialState, "__init__", corrupted_init)
+
+
 def test_phase2_cross_check_catches_a_corrupted_split(p8, monkeypatch):
     # p8's phase-1 set has a two-vertex component; one of its ends losing a
     # block leaves every move as it was, and only the final check sees it
-    init = OnlineBlockForest.__init__
+    def corrupt(state):
+        split = state.forest.split
+        split[max(range(p8.n), key=lambda u: (split[u] == 1, u))] -= 1
 
-    def corrupted_init(forest, g, s=()):
-        init(forest, g, s)
-        if not s:
-            return
-        v = max(s, key=lambda u: (forest.split[u] == 1, u))
-        forest.split[v] -= 1
-
-    monkeypatch.setattr(OnlineBlockForest, "__init__", corrupted_init)
+    c1, _ = greedy_phase1(p8)
+    _corrupt_phase2_state(monkeypatch, corrupt)
     with pytest.raises(RuntimeError, match="block forest diverged"):
-        solve(p8)
+        phase2_merge(p8, c1)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda state: state.cnt.__setitem__(0, state.cnt[0] + 1),  # 0 is in C
+        lambda state: setattr(state, "under", state.under + 1),
+        lambda state: state.label_members.__setitem__(-1, []),  # one closed part more
+    ],
+    ids=["coverage-count", "under-dominated", "closed-parts"],
+)
+def test_phase2_cross_check_catches_a_corrupted_counter(p8, monkeypatch, corrupt):
+    # no phase-2 rule reads these, so only the end check sees them
+    c1, _ = greedy_phase1(p8)
+    assert 0 in c1
+    _corrupt_phase2_state(monkeypatch, corrupt)
+    with pytest.raises(RuntimeError, match="diverged"):
+        phase2_merge(p8, c1)
 
 
 def test_repair_builds_no_components(monkeypatch):
-    # phase 2 builds the components of G[c] only in rounds with more than
-    # one component (pair-merge, path-connect) and for the repair-path
-    # fallback; a repair reads the forest.  solve adds one call, on the
-    # phase-1 set.
+    # phase 2 builds the components of G[c] only for the repair-path
+    # fallback; every other rule reads the state, and solve adds no call
     calls = []
     kernel = cds_forge.solver.induced_components
     monkeypatch.setattr(
         cds_forge.solver, "induced_components", lambda g, s: calls.append(s) or kernel(g, s)
     )
-    g = generate(GenSpec(kind="hpath", n=300, seed=1))
-    c1, _ = greedy_phase1(g, SolveConfig(record_trace=False))
-    _, steps, _ = phase2_merge(g, c1)
+    g = generate(GenSpec(kind="hpath", n=40, seed=1))
+    _, steps, _ = phase2_merge(g, random.Random(1).sample(range(g.n), g.n // 3))
     kinds = collections.Counter(step.note.split()[0] for step in steps)
-    assert kinds["repair"] > 0
-    built = kinds["repair-path"] + kinds["pair-merge"] + kinds["path-connect"]
-    assert len(calls) == built
+    assert all(kinds[k] > 0 for k in ("repair", "repair-path", "pair-merge", "path-connect", "dominate"))
+    assert len(calls) == kinds["repair-path"]
     calls.clear()
-    solve(g, SolveConfig(record_trace=False))
-    assert len(calls) == built + 1 and calls[0] == c1
+    sol = solve(generate(GenSpec(kind="hpath", n=300, seed=1)))
+    assert "repair" in {step.note.split()[0] for step in sol.trace if step.phase == 2}
+    assert calls == []
+
+
+def test_traced_solve_rebuilds_nothing_per_move_and_keeps_every_check(monkeypatch):
+    # no snapshot at all, and exactly one low-link pass for the host check,
+    # one for each phase-1 iteration after the first and one for phase 2's
+    # end check
+    calls = collections.Counter()
+    for name in ("snapshot", "_dfs_splits"):
+        kernel = getattr(cds_forge.solver, name)
+        monkeypatch.setattr(
+            cds_forge.solver,
+            name,
+            lambda *a, _k=kernel, _name=name, **kw: calls.update([_name]) or _k(*a, **kw),
+        )
+    sol = solve(generate(GenSpec(kind="hpath", n=300, seed=1)))
+    assert sol.trace
+    assert calls["snapshot"] == 0
+    assert calls["_dfs_splits"] == 1 + len(sol.phase1_nodes) + 1
 
 
 def _phase2_reference(g, c, m_fold):
     """Phase 2 as it was before the block forest: every round recomputes
     the components and the split counts of the whole set.  Returns (set,
-    [(sorted added vertices, note)], fallback)."""
+    [(sorted added vertices, note)], [set after each move], fallback)."""
     c = set(c)
     n = g.n
     moves = []
+    sets = []
     fallback = False
 
     def grow(added, note):
         c.update(added)
         moves.append((tuple(sorted(added)), note))
+        sets.append(frozenset(c))
 
     for _ in range(n + 2):
         parts = induced_components(g, c)
@@ -601,14 +665,22 @@ def _phase2_reference(g, c, m_fold):
         break
     else:
         raise InfeasibleError("phase 2 exceeded its growth budget")
-    return frozenset(c), moves, fallback
+    return frozenset(c), moves, sets, fallback
 
 
-def _assert_phase2_matches_reference(g, c, m_fold):
-    ref_nodes, ref_moves, ref_fallback = _phase2_reference(g, c, m_fold)
-    nodes, steps, fallback = phase2_merge(g, c, SolveConfig(m_fold=m_fold))
-    assert [(s.chosen, s.note) for s in steps] == ref_moves
-    assert (nodes, fallback) == (ref_nodes, ref_fallback)
+def _assert_phase2_matches_reference(g, c, m_fold, from_phase1):
+    # phase2_merge builds its state from c; solve's phase 2 continues on
+    # phase 1's, whose component ids come from the greedy's order
+    ref_nodes, ref_moves, ref_sets, ref_fallback = _phase2_reference(g, c, m_fold)
+    cfg = SolveConfig(m_fold=m_fold)
+    runs = [phase2_merge(g, c, cfg)]
+    if from_phase1:
+        sol = solve(g, cfg)
+        runs.append((sol.nodes, [s for s in sol.trace if s.phase == 2], sol.fallback_used))
+    for nodes, steps, fallback in runs:
+        assert [(s.chosen, s.note) for s in steps] == ref_moves
+        assert [s.f_after for s in steps] == [snapshot(g, s, m_fold).total for s in ref_sets]
+        assert (nodes, fallback) == (ref_nodes, ref_fallback)
 
 
 def _grid_graph(rows, cols):
@@ -637,7 +709,16 @@ def test_phase2_moves_match_reference_on_structured_hosts(host, m_fold):
     else:
         g = _wheel_graph(int(size))
     c1, _ = greedy_phase1(g, SolveConfig(m_fold=m_fold, record_trace=False))
-    _assert_phase2_matches_reference(g, c1, m_fold)
+    _assert_phase2_matches_reference(g, c1, m_fold, from_phase1=True)
+
+
+@pytest.mark.parametrize("n, seed, extra", [(19, 94, 2), (33, 68, 0)])
+def test_phase2_ranks_components_by_smallest_member(n, seed, extra):
+    # phase 1's component ids follow the greedy's order, and on these hosts
+    # ranking by id would change a pair-merge or path-connect move
+    g = generate(GenSpec(kind="hpath", n=n, seed=seed, extra=extra))
+    c1, _ = greedy_phase1(g, SolveConfig(record_trace=False))
+    _assert_phase2_matches_reference(g, c1, 2, from_phase1=True)
 
 
 @given(
@@ -650,15 +731,9 @@ def test_phase2_moves_match_reference(seed, n, m_fold, from_phase1):
     # from the phase-1 stall, or from any non-empty set, which reaches the
     # fallback moves far more often
     rng = random.Random(seed)
-    if seed % 3 == 0:
-        try:
-            g = generate(GenSpec(kind="geometric", n=n, seed=seed, radius=0.5))
-        except GenerationFailed:
-            g = generate(GenSpec(kind="hpath", n=n, seed=seed))
-    else:
-        g = generate(GenSpec(kind="hpath", n=n, seed=seed, extra=seed % 4))
+    g = _sample_host(seed, n, 0.5)
     if from_phase1:
         c, _ = greedy_phase1(g, SolveConfig(m_fold=m_fold, record_trace=False))
     else:
         c = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
-    _assert_phase2_matches_reference(g, c, m_fold)
+    _assert_phase2_matches_reference(g, c, m_fold, from_phase1)
