@@ -278,7 +278,7 @@ def _checked_terms(g: Graph, state: PotentialState, c_set) -> tuple[int, int, in
         )
     if cnt != state.cnt or (q, under) != (state.closed_parts, state.under):
         raise RuntimeError(
-            f"potential bookkeeping diverged: recomputed (closed, under-dominated) = "
+            "potential bookkeeping diverged: recomputed (closed, under-dominated) = "
             f"{(q, under)}, state {(state.closed_parts, state.under)}, coverage "
             f"counts {'match' if cnt == state.cnt else 'differ'}"
         )
